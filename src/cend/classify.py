@@ -24,10 +24,11 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .conformal import ConformalElement, locality, nproduct
+from .conformal import ConformalElement, nproducts
 from .errors import (
     BoundTooSmallError,
     DimensionMismatchError,
+    InvariantError,
     NotClosedError,
 )
 from .poly import (
@@ -216,7 +217,7 @@ def canonicalize_Q(
         for m in _ambient_samples(q.n):
             x = m * gen
             if not left_ideal_member(apply_autom(x, spec), diag):
-                raise AssertionError(
+                raise InvariantError(
                     "canonicalization failed to transport a sampled member"
                 )
     return diag, t_mat, spec
@@ -331,8 +332,7 @@ def subalgebra_closure(pres: SubalgebraPresentation) -> ClosureResult:
         pool = [(a, b) for a in fresh for b in elements]
         pool += [(a, b) for a in elements for b in fresh if a not in fresh]
         for a, b in pool:
-            for k in range(locality(a, b)):
-                x = nproduct(a, k, b)
+            for x in nproducts(a, b):
                 if x.is_zero():
                     continue
                 vec = _encode(x, bound)
@@ -440,7 +440,10 @@ def kv_closure(
         for c in closure.elements:
             x = c if t == 0 else c.map(lambda e: e * (v_poly ** t))
             vec = _encode(x, ambient)
-            assert vec is not None
+            if vec is None:
+                raise InvariantError(
+                    f"a v^{t} layer element exceeds the ambient bound {ambient}"
+                )
             elems.append(x)
             rows.append(vec)
         layers.append(rows)
@@ -500,8 +503,7 @@ def kv_closure(
                 )
     for a in samples:
         for x in closure.elements:
-            for k in range(locality(a, x)):
-                prod = nproduct(a, k, x)
+            for prod in nproducts(a, x):
                 if prod.is_zero():
                     continue
                 if not left_ideal_member(prod, q_full):

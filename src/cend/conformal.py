@@ -16,9 +16,10 @@ Both satisfy the same two-sided sesquilinearity laws in D:
 
 together with finiteness: for fixed a, b the products vanish for all large
 n. The recursion defined by those laws (with the D-free base case) is
-implemented verbatim in ``nproduct_recursive``; ``nproduct`` evaluates the
-same thing through a closed-form double sum and is what the rest of the
-package calls.
+implemented verbatim in ``nproduct_recursive``.  The closed form of that
+recursion is evaluated by one sweep: ``nproducts`` returns the whole table
+``a (0) b, ..., a (L-1) b`` up to the locality L, and ``nproduct`` is the same
+sweep at a single index.  The rest of the package calls these two.
 """
 
 from __future__ import annotations
@@ -259,46 +260,95 @@ def _falling(n: int, k: int) -> int:
     return out
 
 
+def _ladder(mat: PolyMatrix) -> list[PolyMatrix]:
+    """``mat`` and its successive v-derivatives, up to the last nonzero one."""
+    out = []
+    while not mat.is_zero():
+        out.append(mat)
+        mat = _dmat(mat, 1)
+    return out
+
+
 def _extend_sesquilinear(
-    a: ConformalElement,
-    n: int,
-    b: ConformalElement,
-    base: Callable[[PolyMatrix, int, PolyMatrix], dict[int, PolyMatrix]],
-) -> ConformalElement:
-    """Extend a D-free base product to all of M_N(k[D,v]).
+    a: ConformalElement, b: ConformalElement, ns: range, circ: bool
+) -> list[ConformalElement]:
+    """Extend the D-free base product to all of M_N(k[D,v]), for each n in ns.
 
     This is the unique extension satisfying the two sesquilinearity laws:
     each D peeled off the left factor contributes a factor -n and lowers n,
     each D on the right Leibniz-splits into an outer D and an n-lowering.
+    With a = sum_i D^i A_i and b = sum_j D^j B_j that gives
+
+        a (n) b = sum_{i,j,t} (-1)^i C(j,t) n!/m! D^(j-t) base(A_i, m, B_j),
+
+    where m = n - i - t.  The base product of order m differentiates B_j
+    (``circ=False``) or A_i (``circ=True``) m times, so it vanishes once m
+    passes that factor's v-degree.  The sweep visits each nonzero
+    (i, j, t, m) once and computes each base product once for all n.
     """
-    acc: dict[int, PolyMatrix] = {}
-    for i, ai in a.d_coeffs().items():
-        for j, bj in b.d_coeffs().items():
-            for t in range(min(j, n - i) + 1):
-                c = Fraction(comb(j, t) * _falling(n, i + t))
-                if i % 2:
-                    c = -c
-                if not c:
+    accs: list[dict[int, PolyMatrix]] = [{} for _ in ns]
+    da, db = a.d_coeffs(), b.d_coeffs()
+    ladders = {k: _ladder(x) for k, x in (da if circ else db).items()}
+    for i, ai in da.items():
+        for j, bj in db.items():
+            ladder = ladders[i if circ else j]
+            prods = None  # circ: A_i^(k) B_j, shared by all m + s = k
+            for m in range(len(ladder)):
+                ts = [t for t in range(j + 1) if i + t + m in ns]
+                if not ts:
                     continue
-                for s, mat in base(ai, n - i - t, bj).items():
-                    slot = j - t + s
-                    term = mat * c
-                    if slot in acc:
-                        acc[slot] = acc[slot] + term
-                    else:
-                        acc[slot] = term
-    return ConformalElement.from_d_coeffs(acc, a.n)
+                if not circ:
+                    base = {0: ai * ladder[m]}
+                else:
+                    if prods is None:
+                        prods = [der * bj for der in ladder]
+                    base = {
+                        s: prods[m + s] * Fraction(1, factorial(s))
+                        for s in range(len(ladder) - m)
+                    }
+                for t in ts:
+                    n = i + t + m
+                    c = Fraction(comb(j, t) * _falling(n, i + t))
+                    if i % 2:
+                        c = -c
+                    acc = accs[n - ns.start]
+                    for s, mat in base.items():
+                        slot = j - t + s
+                        term = mat * c
+                        if slot in acc:
+                            acc[slot] = acc[slot] + term
+                        else:
+                            acc[slot] = term
+    return [ConformalElement.from_d_coeffs(acc, a.n) for acc in accs]
 
 
 def nproduct(
     a: ConformalElement, n: int, b: ConformalElement, circ: bool = False
 ) -> ConformalElement:
     """The n-th product of a and b (closed form)."""
-    if a.n != b.n:
-        raise DimensionMismatchError(f"sizes {a.n} and {b.n}")
+    a._require_same_size(b)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _extend_sesquilinear(a, n, b, _base_circ if circ else _base_diff)
+    return _extend_sesquilinear(a, b, range(n, n + 1), circ)[0]
+
+
+def nproducts(
+    a: ConformalElement, b: ConformalElement, circ: bool = False
+) -> tuple[ConformalElement, ...]:
+    """Every product ``a (0) b, ..., a (L-1) b`` up to the locality L.
+
+    Trailing zeros are trimmed, so the last entry is nonzero and
+    ``len(nproducts(a, b, circ)) == locality(a, b, circ)``.  The products
+    are computed in one sweep up to the family's bound: a (n) b = 0 once
+    n > deg_D a + deg_D b + deg_v b (default) or deg_D a + deg_D b + deg_v a
+    (``circ``), because the base product is limited by the v-degree of the
+    factor it differentiates.
+    """
+    a._require_same_size(b)
+    table = _extend_sesquilinear(a, b, range(_product_bound(a, b, circ)), circ)
+    while table and table[-1].is_zero():
+        table.pop()
+    return tuple(table)
 
 
 def nproduct_circ(
@@ -371,20 +421,46 @@ def locality_bound(a: ConformalElement, b: ConformalElement) -> int:
     )
 
 
+def _product_bound(
+    a: ConformalElement, b: ConformalElement, circ: bool
+) -> int:
+    """The family's bound for the locality, at most ``locality_bound``."""
+    differentiated = a if circ else b
+    return (
+        _degree_or_zero(a.deg_d)
+        + _degree_or_zero(b.deg_d)
+        + _degree_or_zero(differentiated.deg_v)
+        + 1
+    )
+
+
 def locality(
     a: ConformalElement, b: ConformalElement, circ: bool = False
 ) -> int:
     """Least L with a (n) b = 0 for all n >= L.
 
     Zero when every product vanishes (in particular if a or b is zero).
-    For the default products L <= deg_D a + deg_D b + deg_v b + 1.
+    For the default products L <= deg_D a + deg_D b + deg_v b + 1, for the
+    circ products L <= deg_D a + deg_D b + deg_v a + 1: the index left to
+    the D-free base product is limited by the v-degree of the factor it
+    differentiates (b, respectively a).
     """
-    if a.n != b.n:
-        raise DimensionMismatchError(f"sizes {a.n} and {b.n}")
-    for n in range(locality_bound(a, b) - 1, -1, -1):
-        if not nproduct(a, n, b, circ=circ).is_zero():
-            return n + 1
-    return 0
+    return len(nproducts(a, b, circ))
+
+
+def _bracket_from(
+    ab_n: ConformalElement, ba: tuple[ConformalElement, ...], n: int
+) -> ConformalElement:
+    """[a (n) b] from a (n) b and the product table of (b, a)."""
+    out = ab_n
+    d_pow = ConformalElement.identity(ab_n.n)
+    for s, prod in enumerate(ba[n:]):
+        term = prod * d_pow * Fraction(1, factorial(s))
+        if (n + s) % 2 == 0:
+            term = -term
+        out = out + term
+        d_pow = d_pow.d_mul()
+    return out
 
 
 def bracket(a: ConformalElement, n: int, b: ConformalElement) -> ConformalElement:
@@ -392,16 +468,19 @@ def bracket(a: ConformalElement, n: int, b: ConformalElement) -> ConformalElemen
 
     [a (n) b] = a (n) b - sum_s (-1)^(n+s) D^s/s! (b (n+s) a).
     """
-    out = nproduct(a, n, b)
-    limit = locality(b, a)
-    d_pow = ConformalElement.identity(a.n)
-    for s in range(limit - n):
-        term = nproduct(b, n + s, a) * d_pow * Fraction(1, factorial(s))
-        if (n + s) % 2 == 0:
-            term = -term
-        out = out + term
-        d_pow = d_pow.d_mul()
-    return out
+    return _bracket_from(nproduct(a, n, b), nproducts(b, a), n)
+
+
+def _brackets(
+    a: ConformalElement, b: ConformalElement
+) -> tuple[ConformalElement, ...]:
+    """[a (n) b] for n < max(locality(a, b), locality(b, a)); later ones vanish."""
+    ab, ba = nproducts(a, b), nproducts(b, a)
+    zero = ConformalElement.zero(a.n)
+    return tuple(
+        _bracket_from(ab[n] if n < len(ab) else zero, ba, n)
+        for n in range(max(len(ab), len(ba)))
+    )
 
 
 def phi(a: ConformalElement) -> ConformalElement:
@@ -471,15 +550,23 @@ def check_lie(
     failures = []
     cases = 0
     zero = ConformalElement.zero(a.n)
+    tables: dict = {}
+
+    def br(x: ConformalElement, k: int, y: ConformalElement) -> ConformalElement:
+        if (x, y) not in tables:
+            tables[(x, y)] = _brackets(x, y)
+        table = tables[(x, y)]
+        return table[k] if k < len(table) else zero
+
     for n in range(n_max + 1):
         cases += 1
-        lhs = bracket(a, n, b)
+        lhs = br(a, n, b)
         rhs = zero
         # brackets of the reversed pair vanish once both raw localities pass
-        limit = max(locality(b, a), locality(a, b))
+        limit = len(tables[(a, b)])
         d_pow = ConformalElement.identity(a.n)
         for s in range(max(limit - n, 0)):
-            t = bracket(b, n + s, a) * d_pow * Fraction(1, factorial(s))
+            t = br(b, n + s, a) * d_pow * Fraction(1, factorial(s))
             if (n + s) % 2 == 0:
                 t = -t
             rhs = rhs + t
@@ -489,10 +576,10 @@ def check_lie(
     for n in range(n_max + 1):
         for m in range(m_max + 1):
             cases += 1
-            lhs = bracket(a, n, bracket(b, m, c)) - bracket(b, m, bracket(a, n, c))
+            lhs = br(a, n, br(b, m, c)) - br(b, m, br(a, n, c))
             rhs = zero
             for s in range(n + 1):
-                rhs = rhs + bracket(bracket(a, n - s, b), m + s, c) * comb(n, s)
+                rhs = rhs + br(br(a, n - s, b), m + s, c) * comb(n, s)
             if lhs != rhs:
                 failures.append({"identity": "jacobi", "n": n, "m": m})
     return {"cases": cases, "failures": failures, "ok": not failures}

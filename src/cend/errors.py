@@ -41,3 +41,9 @@ class NotClosedError(CendError):
 
 class BoundTooSmallError(CendError):
     tag = "BoundTooSmall"
+
+
+class InvariantError(CendError):
+    """An internal invariant failed: a bug, never a property of the input."""
+
+    tag = "InvariantViolated"

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Mapping, Sequence
 
-from .conformal import ConformalElement, locality, nproduct
+from .conformal import ConformalElement, _falling, nproduct, nproducts
 from .errors import (
     DimensionMismatchError,
     InsufficientSamplesError,
@@ -186,13 +186,6 @@ def _w_q_coeffs(w: WeylMatrix) -> dict[int, PolyMatrix]:
     return {n: PolyMatrix(rows, "p") for n, rows in out.items()}
 
 
-def _falling(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out *= n - i
-    return out
-
-
 def act(w: WeylMatrix, b: ConformalElement) -> ConformalElement:
     """Left action of an operator matrix on an element.
 
@@ -332,8 +325,7 @@ def orbit_density_check(
     words: list[ConformalElement] = [g for g in generators if not g.is_zero()]
     for g1 in generators:
         for g2 in generators:
-            for k in range(min(locality(g1, g2), n_bound + 1)):
-                w = nproduct(g1, k, g2)
+            for w in nproducts(g1, g2)[: n_bound + 1]:
                 if not w.is_zero() and w not in words:
                     words.append(w)
 

@@ -20,15 +20,18 @@ from cend.classify import (
     subalgebra_closure,
 )
 from cend.conformal import ConformalElement, locality, nproduct
+import cend.classify
 from cend.errors import (
     BoundTooSmallError,
     DimensionMismatchError,
+    InvariantError,
     NotClosedError,
     NotUnimodularError,
     SingularMatrixError,
 )
 from cend.operators import symbol
 from cend.poly import BiPoly, PolyMatrix, UniPoly
+from cend.verify import verify_suite
 from cend.weyl import WeylElement, WeylMatrix, q_valuation
 
 D = BiPoly.D()
@@ -370,6 +373,20 @@ class TestCanonicalizeQ:
             x = m * gen
             assert left_ideal_member(x, q)
             assert left_ideal_member(apply_autom(x, t), diag)
+
+    # A failed re-check is a bug, so it must raise a typed error that
+    # survives ``python -O`` (a bare assert would not).
+    def test_failed_transport_raises_a_typed_error(self, monkeypatch):
+        monkeypatch.setattr(cend.classify, "left_ideal_member", lambda x, q: False)
+        with pytest.raises(InvariantError):
+            canonicalize_Q(PolyMatrix([[v]], "v"))
+
+    def test_verify_reports_a_failed_transport(self, monkeypatch):
+        monkeypatch.setattr(cend.classify, "left_ideal_member", lambda x, q: False)
+        report = verify_suite(seed=1, suite="ideals", sizes=[1])
+        (entry,) = [c for c in report["checks"] if c["tag"] == "canonical-diagonal-transport"]
+        assert entry["failures"] == entry["cases"] > 0
+        assert entry["examples"][0] == "size 1: sampled transport failed"
 
 
 class TestSubalgebraClosure:

@@ -12,8 +12,10 @@ from cend.conformal import (
     curr_embed,
     d_id,
     locality,
+    locality_bound,
     nproduct,
     nproduct_circ,
+    nproducts,
     nproduct_recursive,
     phi,
     phi_inv,
@@ -45,6 +47,12 @@ def elements(draw, n=1, max_dd=2, max_dv=2, max_terms=3):
             row.append(BiPoly(coeffs))
         rows.append(row)
     return ConformalElement(rows)
+
+
+@st.composite
+def same_size_pairs(draw, max_n=3):
+    n = draw(st.integers(1, max_n))
+    return draw(elements(n=n, max_terms=2)), draw(elements(n=n, max_terms=2))
 
 
 class TestNProductExamples:
@@ -157,6 +165,39 @@ class TestLocality:
     def test_zero(self):
         z = ConformalElement.zero(1)
         assert locality(z, ce1(V)) == 0
+
+
+class TestProductTable:
+    @given(same_size_pairs(), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_table_agrees_with_single_products(self, pair, circ):
+        a, b = pair
+        table = nproducts(a, b, circ)
+        for k, prod in enumerate(table):
+            assert prod == nproduct(a, k, b, circ)
+        for k in range(len(table), locality_bound(a, b) + 2):
+            assert nproduct(a, k, b, circ).is_zero()
+        if table:
+            assert not table[-1].is_zero()
+        assert locality(a, b, circ) == len(table)
+
+    # Each pair reaches past the other family's bound, so both would fail
+    # if the sweep stopped at the wrong family's degree.
+    def test_circ_bound_counts_the_left_v_degree(self):
+        v3 = ConformalElement.scalar(2, BiPoly.v(3))
+        assert locality(v3, ConformalElement.identity(2), circ=True) == 4
+
+    def test_default_bound_counts_the_right_v_degree(self):
+        v3 = ConformalElement.scalar(2, BiPoly.v(3))
+        assert locality(ConformalElement.identity(2), v3) == 4
+
+    def test_zero_factor_gives_an_empty_table(self):
+        assert nproducts(ConformalElement.zero(2), v_id(2)) == ()
+        assert nproducts(v_id(2), ConformalElement.zero(2), circ=True) == ()
+
+    def test_size_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            nproducts(ConformalElement.identity(1), ConformalElement.identity(2))
 
 
 class TestBracket:
