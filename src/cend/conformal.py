@@ -26,10 +26,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import DimensionMismatchError
-from .poly import BiPoly, PolyMatrix, Scalar, UniPoly
+from .poly import BiPoly, PolyMatrix, Scalar, UniPoly, _gen_matmul
 
 
 class ConformalElement:
@@ -54,12 +54,20 @@ class ConformalElement:
         self.entries = tuple(coerced)
 
     @classmethod
+    def _new(cls, rows: Sequence[Sequence[BiPoly]]) -> "ConformalElement":
+        """Trusted builder: ``rows`` is square and holds BiPoly entries."""
+        out = object.__new__(cls)
+        out.n = len(rows)
+        out.entries = tuple(map(tuple, rows))
+        return out
+
+    @classmethod
     def zero(cls, n: int) -> "ConformalElement":
-        return cls([[0] * n for _ in range(n)])
+        return cls.scalar(n, BiPoly.zero())
 
     @classmethod
     def identity(cls, n: int) -> "ConformalElement":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls.scalar(n, BiPoly.const(1))
 
     @classmethod
     def scalar(cls, n: int, f: BiPoly) -> "ConformalElement":
@@ -79,18 +87,15 @@ class ConformalElement:
         cls, coeffs: Mapping[int, PolyMatrix], n: int
     ) -> "ConformalElement":
         """Assemble sum_i D^i * A_i from v-coefficient matrices A_i."""
-        rows = [[BiPoly.zero() for _ in range(n)] for _ in range(n)]
+        cells: list[list[dict]] = [[{} for _ in range(n)] for _ in range(n)]
         for i, mat in coeffs.items():
             if mat.n != n:
                 raise DimensionMismatchError("coefficient matrix size mismatch")
-            for r in range(n):
-                for c in range(n):
-                    e = mat.entry(r, c)
-                    if e:
-                        rows[r][c] = rows[r][c] + BiPoly(
-                            [(i, d, a) for d, a in e.items()]
-                        )
-        return cls(rows)
+            for cell_row, row in zip(cells, mat.rows):
+                for cell, e in zip(cell_row, row):
+                    for d, a in e.items():
+                        cell[(i, d)] = a
+        return cls._new([[BiPoly._new(c) for c in r] for r in cells])
 
     def entry(self, i: int, j: int) -> BiPoly:
         return self.entries[i][j]
@@ -109,38 +114,27 @@ class ConformalElement:
 
     def __add__(self, other: "ConformalElement") -> "ConformalElement":
         self._require_same_size(other)
-        return ConformalElement(
-            [
-                [self.entries[i][j] + other.entries[i][j] for j in range(self.n)]
-                for i in range(self.n)
-            ]
+        return ConformalElement._new(
+            [[x + y for x, y in zip(r, s)] for r, s in zip(self.entries, other.entries)]
         )
 
     def __sub__(self, other: "ConformalElement") -> "ConformalElement":
-        return self + (-other)
+        self._require_same_size(other)
+        return ConformalElement._new(
+            [[x - y for x, y in zip(r, s)] for r, s in zip(self.entries, other.entries)]
+        )
 
     def __neg__(self) -> "ConformalElement":
-        return ConformalElement([[-e for e in r] for r in self.entries])
+        return self.map(BiPoly.__neg__)
 
     def __mul__(
         self, other: "ConformalElement | BiPoly | Scalar"
     ) -> "ConformalElement":
         if isinstance(other, ConformalElement):
             self._require_same_size(other)
-            out = []
-            for i in range(self.n):
-                row = []
-                for j in range(self.n):
-                    acc = BiPoly.zero()
-                    for k in range(self.n):
-                        acc = acc + self.entries[i][k] * other.entries[k][j]
-                    row.append(acc)
-                out.append(row)
-            return ConformalElement(out)
+            return ConformalElement._new(_gen_matmul(self.entries, other.entries))
         if isinstance(other, (BiPoly, int, Fraction)):
-            return ConformalElement(
-                [[e * other for e in r] for r in self.entries]
-            )
+            return self.map(lambda e: e * other)
         return NotImplemented
 
     def __rmul__(self, other: "BiPoly | Scalar") -> "ConformalElement":
@@ -156,12 +150,11 @@ class ConformalElement:
         return self * BiPoly.v()
 
     def map(self, f: Callable[[BiPoly], BiPoly]) -> "ConformalElement":
-        return ConformalElement([[f(e) for e in r] for r in self.entries])
+        """Apply ``f`` entrywise; it must return a BiPoly."""
+        return ConformalElement._new([[f(e) for e in r] for r in self.entries])
 
     def transpose(self) -> "ConformalElement":
-        return ConformalElement(
-            [[self.entries[j][i] for j in range(self.n)] for i in range(self.n)]
-        )
+        return ConformalElement._new(tuple(zip(*self.entries)))
 
     @property
     def deg_d(self) -> int | None:
@@ -188,7 +181,7 @@ class ConformalElement:
                             [zero for _ in range(self.n)] for _ in range(self.n)
                         ]
                     out[i][r][c] = f
-        return {i: PolyMatrix(rows, "v") for i, rows in out.items()}
+        return {i: PolyMatrix._new(rows, "v") for i, rows in out.items()}
 
     def v_coeffs(self) -> dict[int, PolyMatrix]:
         """Decompose as sum_j C_j(D) v^j; returns {j: C_j} over k[D]."""
@@ -202,7 +195,7 @@ class ConformalElement:
                             [zero for _ in range(self.n)] for _ in range(self.n)
                         ]
                     out[j][r][c] = f
-        return {j: PolyMatrix(rows, "D") for j, rows in out.items()}
+        return {j: PolyMatrix._new(rows, "D") for j, rows in out.items()}
 
     def __str__(self) -> str:
         return "[" + "; ".join(

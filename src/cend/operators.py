@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .conformal import ConformalElement, _falling, nproduct, nproducts
 from .errors import (
@@ -29,8 +29,8 @@ from .errors import (
     InsufficientSamplesError,
     NotDifferentialError,
 )
-from .poly import BiPoly, PolyMatrix, UniPoly
-from .weyl import WeylElement, WeylMatrix, q_valuation
+from .poly import PolyMatrix, UniPoly
+from .weyl import WeylElement, WeylMatrix
 
 
 @dataclass(frozen=True)
@@ -53,19 +53,16 @@ class DifferentialSequence:
 
     def operator(self, n: int) -> WeylMatrix:
         """The member a(n) = sum_s C(n,s) A_s(p) q^(n-s) of the family."""
-        out = [[WeylElement.zero() for _ in range(self.n)] for _ in range(self.n)]
+        cells = [[{} for _ in range(self.n)] for _ in range(self.n)]
         for s, mat in enumerate(self.coeffs):
             if s > n:
                 break
             c = comb(n, s)
-            for i in range(self.n):
-                for j in range(self.n):
-                    e = mat.entry(i, j)
-                    if e:
-                        out[i][j] = out[i][j] + WeylElement(
-                            [(d, n - s, a * c) for d, a in e.items()]
-                        )
-        return WeylMatrix(out)
+            for cell_row, row in zip(cells, mat.rows):
+                for cell, e in zip(cell_row, row):
+                    for d, a in e.items():
+                        cell[(d, n - s)] = a * c
+        return WeylMatrix._new([[WeylElement._new(x) for x in r] for r in cells])
 
 
 @dataclass(frozen=True)
@@ -175,15 +172,17 @@ def fit_differential_sequence(
 
 def _w_q_coeffs(w: WeylMatrix) -> dict[int, PolyMatrix]:
     """Decompose an operator matrix as sum_n W_n(p) q^n."""
-    zero = UniPoly.zero("p")
-    out: dict[int, list[list[UniPoly]]] = {}
-    for i in range(w.n):
-        for j in range(w.n):
-            for dp, dq, c in w.entry(i, j).items():
+    out: dict[int, list[list[dict]]] = {}
+    for i, row in enumerate(w.rows):
+        for j, e in enumerate(row):
+            for dp, dq, c in e.items():
                 if dq not in out:
-                    out[dq] = [[zero for _ in range(w.n)] for _ in range(w.n)]
-                out[dq][i][j] = out[dq][i][j] + UniPoly.monomial(dp, c, "p")
-    return {n: PolyMatrix(rows, "p") for n, rows in out.items()}
+                    out[dq] = [[{} for _ in range(w.n)] for _ in range(w.n)]
+                out[dq][i][j][dp] = c
+    return {
+        n: PolyMatrix._new([[UniPoly._new(x, "p") for x in r] for r in cells], "p")
+        for n, cells in out.items()
+    }
 
 
 def act(w: WeylMatrix, b: ConformalElement) -> ConformalElement:
@@ -254,7 +253,8 @@ def _apply_op(w: WeylMatrix, vec: Vector) -> Vector:
                 if not f:
                     continue
                 key = (r, t - dq + dp)
-                nv = out.get(key, Fraction(0)) + c * a * f
+                term = c * a * f
+                nv = out[key] + term if key in out else term
                 if nv:
                     out[key] = nv
                 else:
@@ -281,7 +281,7 @@ class _SpanBuilder:
                 return vec
             c = vec[lead]
             for k, a in row.items():
-                nv = vec.get(k, Fraction(0)) - c * a
+                nv = vec[k] - c * a if k in vec else -(c * a)
                 if nv:
                     vec[k] = nv
                 else:

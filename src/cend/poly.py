@@ -54,31 +54,162 @@ def _join_terms(terms: list[str]) -> str:
     return out
 
 
-class UniPoly:
+class _Sparse:
+    """Shared core of the sparse polynomial classes.
+
+    ``_c`` maps monomial keys to nonzero ``Fraction`` coefficients.  The
+    public constructors validate and normalize data from outside; results of
+    internal arithmetic are built by ``_like``, which trusts its input, keeps
+    the tag and only drops zero values.
+    """
+
+    __slots__ = ("_c",)
+    _unit = (0, 0)  # key of the constant monomial
+
+    @classmethod
+    def _new(cls, c: dict) -> "_Sparse":
+        """Trusted builder: ``c`` maps well-formed keys to Fractions."""
+        out = object.__new__(cls)
+        out._c = {k: a for k, a in c.items() if a}
+        return out
+
+    def _like(self, c: dict) -> "_Sparse":
+        """A value of this class and tag holding the nonzero terms of ``c``."""
+        return self._new(c)
+
+    def _require_same_tag(self, other: "_Sparse") -> None:
+        pass  # untagged classes; UniPoly compares its variable
+
+    def is_zero(self) -> bool:
+        return not self._c
+
+    def __bool__(self) -> bool:
+        return bool(self._c)
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._require_same_tag(other)
+        c = dict(self._c)
+        for k, a in other._c.items():
+            c[k] = c[k] + a if k in c else a
+        return self._like(c)
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._require_same_tag(other)
+        c = dict(self._c)
+        for k, a in other._c.items():
+            c[k] = c[k] - a if k in c else -a
+        return self._like(c)
+
+    def __neg__(self):
+        return self._like({k: -a for k, a in self._c.items()})
+
+    def __mul__(self, other):
+        """Scalar multiple; each subclass adds its ring product."""
+        if isinstance(other, (int, Fraction)):
+            return self._like({k: a * other for k, a in self._c.items()})
+        return NotImplemented
+
+    def __rmul__(self, other):
+        # scalars commute with every element, and only scalars land here
+        if isinstance(other, (int, Fraction)):
+            return self.__mul__(other)
+        return NotImplemented
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative power")
+        out = self.one_like()
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def zero_like(self):
+        return self._like({})
+
+    def one_like(self):
+        return self._like({self._unit: Fraction(1)})
+
+
+def _pair_terms(
+    coeffs: Mapping[tuple[int, int], Scalar] | Iterable[tuple[int, int, Scalar]],
+    negative: str,
+) -> dict[tuple[int, int], Fraction]:
+    """Validated, normalized terms for a public pair-keyed constructor;
+    ``negative`` is the message for a negative exponent."""
+    if isinstance(coeffs, dict) or isinstance(coeffs, Mapping):
+        entries: Iterable = ((i, j, a) for (i, j), a in coeffs.items())
+    else:
+        entries = coeffs
+    acc: dict[tuple[int, int], Fraction] = {}
+    for i, j, a in entries:
+        i, j = int(i), int(j)
+        if i < 0 or j < 0:
+            raise ValueError(negative)
+        a = Fraction(a)
+        key = (i, j)
+        if key in acc:
+            acc[key] += a
+        elif a:
+            acc[key] = a
+    return {k: a for k, a in acc.items() if a}
+
+
+def _pair_str(terms: list[tuple[int, int, Fraction]], x: str, y: str) -> str:
+    out = []
+    for i, j, a in sorted(terms, key=lambda t: (-(t[0] + t[1]), -t[0])):
+        parts = []
+        if i:
+            parts.append(x if i == 1 else f"{x}^{i}")
+        if j:
+            parts.append(y if j == 1 else f"{y}^{j}")
+        out.append(_term_str(a, "*".join(parts)))
+    return _join_terms(out)
+
+
+class UniPoly(_Sparse):
     """Sparse polynomial in one variable over the rationals.
 
     The variable tag keeps k[D]- and k[v]-valued data from being mixed
     silently: binary operations require equal tags.
     """
 
-    __slots__ = ("var", "_c")
+    __slots__ = ("var",)
+    _unit = 0
 
     def __init__(
         self,
         coeffs: Mapping[int, Scalar] | Iterable[tuple[int, Scalar]] = (),
         var: str = "x",
     ):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
+        if isinstance(coeffs, dict) or isinstance(coeffs, Mapping):
+            coeffs = coeffs.items()
         acc: dict[int, Fraction] = {}
-        for d, a in items:
+        for d, a in coeffs:
             d = int(d)
             if d < 0:
                 raise ValueError("polynomial degrees must be nonnegative")
             a = Fraction(a)
-            if a or d in acc:
-                acc[d] = acc.get(d, Fraction(0)) + a
+            if d in acc:
+                acc[d] += a
+            elif a:
+                acc[d] = a
         self.var = var
         self._c = {d: a for d, a in acc.items() if a}
+
+    @classmethod
+    def _new(cls, c: dict[int, Fraction], var: str) -> "UniPoly":
+        """Trusted builder: ``c`` maps nonnegative degrees to Fractions."""
+        out = object.__new__(cls)
+        out.var = var
+        out._c = {d: a for d, a in c.items() if a}
+        return out
+
+    def _like(self, c: dict[int, Fraction]) -> "UniPoly":
+        return UniPoly._new(c, self.var)
 
     @classmethod
     def zero(cls, var: str) -> "UniPoly":
@@ -112,13 +243,7 @@ class UniPoly:
     def lead(self) -> Fraction:
         return self._c[max(self._c)] if self._c else Fraction(0)
 
-    def is_zero(self) -> bool:
-        return not self._c
-
-    def __bool__(self) -> bool:
-        return bool(self._c)
-
-    def _require_same_var(self, other: "UniPoly") -> None:
+    def _require_same_tag(self, other: "UniPoly") -> None:
         if self.var != other.var:
             raise ValueError(f"variable mismatch: {self.var!r} vs {other.var!r}")
 
@@ -130,47 +255,20 @@ class UniPoly:
     def __hash__(self) -> int:
         return hash((self.var, tuple(self.items())))
 
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        self._require_same_var(other)
-        c = dict(self._c)
-        for d, a in other._c.items():
-            c[d] = c.get(d, Fraction(0)) + a
-        return UniPoly(c, self.var)
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly({d: -a for d, a in self._c.items()}, self.var)
-
     def __mul__(self, other: "UniPoly | Scalar") -> "UniPoly":
         if isinstance(other, UniPoly):
-            self._require_same_var(other)
+            self._require_same_tag(other)
             c: dict[int, Fraction] = {}
             for d1, a1 in self._c.items():
                 for d2, a2 in other._c.items():
                     d = d1 + d2
-                    c[d] = c.get(d, Fraction(0)) + a1 * a2
-            return UniPoly(c, self.var)
-        if isinstance(other, (int, Fraction)):
-            return UniPoly({d: a * other for d, a in self._c.items()}, self.var)
-        return NotImplemented
-
-    def __rmul__(self, other: Scalar) -> "UniPoly":
-        return self.__mul__(other)
-
-    def __pow__(self, n: int) -> "UniPoly":
-        if n < 0:
-            raise ValueError("negative power")
-        out = UniPoly.const(1, self.var)
-        for _ in range(n):
-            out = out * self
-        return out
+                    a = a1 * a2
+                    c[d] = c[d] + a if d in c else a
+            return UniPoly._new(c, self.var)
+        return _Sparse.__mul__(self, other)
 
     def __divmod__(self, g: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
-        self._require_same_var(g)
+        self._require_same_tag(g)
         if not g:
             raise ZeroDivisionError("polynomial division by zero")
         dg, lg = g.degree, g.lead
@@ -183,12 +281,12 @@ class UniPoly:
             q[k] = c
             for d, a in g._c.items():
                 nd = d + k
-                nv = r.get(nd, Fraction(0)) - c * a
+                nv = r[nd] - c * a if nd in r else -(c * a)
                 if nv:
                     r[nd] = nv
                 else:
                     r.pop(nd, None)
-        return UniPoly(q, self.var), UniPoly(r, self.var)
+        return UniPoly._new(q, self.var), UniPoly._new(r, self.var)
 
     def __floordiv__(self, g: "UniPoly") -> "UniPoly":
         return divmod(self, g)[0]
@@ -205,7 +303,7 @@ class UniPoly:
         return self * (1 / self.lead) if self else self
 
     def derivative(self) -> "UniPoly":
-        return UniPoly({d - 1: d * a for d, a in self._c.items() if d}, self.var)
+        return UniPoly._new({d - 1: d * a for d, a in self._c.items() if d}, self.var)
 
     def shift(self, alpha: Scalar) -> "UniPoly":
         """Substitute x -> x + alpha."""
@@ -217,8 +315,9 @@ class UniPoly:
         c: dict[int, Fraction] = {}
         for d, a in self._c.items():
             for k in range(d + 1):
-                c[k] = c.get(k, Fraction(0)) + a * comb(d, k) * alpha ** (d - k)
-        return UniPoly(c, self.var)
+                t = a * comb(d, k) * alpha ** (d - k)
+                c[k] = c[k] + t if k in c else t
+        return UniPoly._new(c, self.var)
 
     def compose(self, inner: "UniPoly") -> "UniPoly":
         """Substitute the variable by `inner` (result takes inner's tag)."""
@@ -233,13 +332,7 @@ class UniPoly:
         return out * inner**prev
 
     def retag(self, var: str) -> "UniPoly":
-        return self if var == self.var else UniPoly(self._c, var)
-
-    def zero_like(self) -> "UniPoly":
-        return UniPoly.zero(self.var)
-
-    def one_like(self) -> "UniPoly":
-        return UniPoly.const(1, self.var)
+        return self if var == self.var else UniPoly._new(self._c, var)
 
     def __call__(self, x: Scalar) -> Fraction:
         x = Fraction(x)
@@ -258,7 +351,7 @@ class UniPoly:
 
 def poly_ext_gcd(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:
     """Monic gcd g with a Bezout pair (u, w): u*a + w*b = g."""
-    a._require_same_var(b)
+    a._require_same_tag(b)
     var = a.var
     r0, r1 = a, b
     u0, u1 = UniPoly.const(1, var), UniPoly.zero(var)
@@ -274,35 +367,20 @@ def poly_ext_gcd(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:
     return r0, u0, w0
 
 
-class BiPoly:
+class BiPoly(_Sparse):
     """Sparse commutative polynomial in the pair (D, v) over the rationals.
 
     Monomial keys are (degree in D, degree in v).
     """
 
-    __slots__ = ("_c",)
+    __slots__ = ()
 
     def __init__(
         self,
         coeffs: Mapping[tuple[int, int], Scalar]
         | Iterable[tuple[int, int, Scalar]] = (),
     ):
-        acc: dict[tuple[int, int], Fraction] = {}
-        if isinstance(coeffs, Mapping):
-            entries: Iterable[tuple[int, int, Scalar]] = (
-                (i, j, a) for (i, j), a in coeffs.items()
-            )
-        else:
-            entries = coeffs
-        for i, j, a in entries:
-            i, j = int(i), int(j)
-            if i < 0 or j < 0:
-                raise ValueError("polynomial degrees must be nonnegative")
-            a = Fraction(a)
-            key = (i, j)
-            if a or key in acc:
-                acc[key] = acc.get(key, Fraction(0)) + a
-        self._c = {k: a for k, a in acc.items() if a}
+        self._c = _pair_terms(coeffs, "polynomial degrees must be nonnegative")
 
     @classmethod
     def zero(cls) -> "BiPoly":
@@ -328,9 +406,9 @@ class BiPoly:
     def from_uni(cls, p: UniPoly, axis: str) -> "BiPoly":
         """Lift a univariate polynomial onto the D- or v-axis."""
         if axis == "D":
-            return cls([(d, 0, a) for d, a in p.items()])
+            return cls._new({(d, 0): a for d, a in p._c.items()})
         if axis == "v":
-            return cls([(0, d, a) for d, a in p.items()])
+            return cls._new({(0, d): a for d, a in p._c.items()})
         raise ValueError("axis must be 'D' or 'v'")
 
     def items(self) -> list[tuple[int, int, Fraction]]:
@@ -347,12 +425,6 @@ class BiPoly:
     def deg_v(self) -> int | None:
         return max(j for _, j in self._c) if self._c else None
 
-    def is_zero(self) -> bool:
-        return not self._c
-
-    def __bool__(self) -> bool:
-        return bool(self._c)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BiPoly):
             return NotImplemented
@@ -361,54 +433,28 @@ class BiPoly:
     def __hash__(self) -> int:
         return hash(tuple(self.items()))
 
-    def __add__(self, other: "BiPoly") -> "BiPoly":
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        c = dict(self._c)
-        for k, a in other._c.items():
-            c[k] = c.get(k, Fraction(0)) + a
-        return BiPoly(c)
-
-    def __sub__(self, other: "BiPoly") -> "BiPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "BiPoly":
-        return BiPoly({k: -a for k, a in self._c.items()})
-
     def __mul__(self, other: "BiPoly | Scalar") -> "BiPoly":
         if isinstance(other, BiPoly):
             c: dict[tuple[int, int], Fraction] = {}
             for (i1, j1), a1 in self._c.items():
                 for (i2, j2), a2 in other._c.items():
                     k = (i1 + i2, j1 + j2)
-                    c[k] = c.get(k, Fraction(0)) + a1 * a2
-            return BiPoly(c)
-        if isinstance(other, (int, Fraction)):
-            return BiPoly({k: a * other for k, a in self._c.items()})
-        return NotImplemented
-
-    def __rmul__(self, other: Scalar) -> "BiPoly":
-        return self.__mul__(other)
-
-    def __pow__(self, n: int) -> "BiPoly":
-        if n < 0:
-            raise ValueError("negative power")
-        out = BiPoly.const(1)
-        for _ in range(n):
-            out = out * self
-        return out
+                    a = a1 * a2
+                    c[k] = c[k] + a if k in c else a
+            return BiPoly._new(c)
+        return _Sparse.__mul__(self, other)
 
     def dv(self) -> "BiPoly":
         """Partial derivative in v."""
-        return BiPoly([(i, j - 1, j * a) for (i, j), a in self._c.items() if j])
+        return BiPoly._new({(i, j - 1): j * a for (i, j), a in self._c.items() if j})
 
     def dd(self) -> "BiPoly":
         """Partial derivative in D."""
-        return BiPoly([(i - 1, j, i * a) for (i, j), a in self._c.items() if i])
+        return BiPoly._new({(i - 1, j): i * a for (i, j), a in self._c.items() if i})
 
     def flip_d(self) -> "BiPoly":
         """Substitute D -> -D."""
-        return BiPoly([(i, j, -a if i % 2 else a) for (i, j), a in self._c.items()])
+        return BiPoly._new({k: -a if k[0] % 2 else a for k, a in self._c.items()})
 
     def shift_v(self, alpha: Scalar) -> "BiPoly":
         """Substitute v -> v + alpha."""
@@ -421,8 +467,9 @@ class BiPoly:
         for (i, j), a in self._c.items():
             for k in range(j + 1):
                 key = (i, k)
-                out[key] = out.get(key, Fraction(0)) + a * comb(j, k) * alpha ** (j - k)
-        return BiPoly(out)
+                t = a * comb(j, k) * alpha ** (j - k)
+                out[key] = out[key] + t if key in out else t
+        return BiPoly._new(out)
 
     def subst_v(self, t: "BiPoly") -> "BiPoly":
         """Substitute v -> t(D, v)."""
@@ -435,7 +482,7 @@ class BiPoly:
                 for e in range(m + 1, j + 1):
                     acc = acc * t
                     powers[e] = acc
-            out = out + BiPoly.monomial(i, 0, a) * powers[j]
+            out = out + BiPoly._new({(i, 0): a}) * powers[j]
         return out
 
     def subst_d(self, t: "BiPoly") -> "BiPoly":
@@ -449,37 +496,37 @@ class BiPoly:
                 for e in range(m + 1, i + 1):
                     acc = acc * t
                     powers[e] = acc
-            out = out + BiPoly.monomial(0, j, a) * powers[i]
+            out = out + BiPoly._new({(0, j): a}) * powers[i]
         return out
 
     def eval_d0(self) -> UniPoly:
         """Specialize D = 0, leaving a polynomial in v."""
-        return UniPoly({j: a for (i, j), a in self._c.items() if i == 0}, "v")
+        return UniPoly._new({j: a for (i, j), a in self._c.items() if i == 0}, "v")
 
     def d_coeffs(self) -> dict[int, UniPoly]:
         """Decompose as sum_i D^i * A_i(v); returns {i: A_i}."""
         out: dict[int, dict[int, Fraction]] = {}
         for (i, j), a in self._c.items():
             out.setdefault(i, {})[j] = a
-        return {i: UniPoly(c, "v") for i, c in out.items()}
+        return {i: UniPoly._new(c, "v") for i, c in out.items()}
 
     def v_coeffs(self) -> dict[int, UniPoly]:
         """Decompose as sum_j B_j(D) * v^j; returns {j: B_j}."""
         out: dict[int, dict[int, Fraction]] = {}
         for (i, j), a in self._c.items():
             out.setdefault(j, {})[i] = a
-        return {j: UniPoly(c, "D") for j, c in out.items()}
+        return {j: UniPoly._new(c, "D") for j, c in out.items()}
 
     def to_uni(self, axis: str) -> UniPoly:
         """Read off a polynomial supported on one axis (error if mixed)."""
         if axis == "D":
             if any(j for (_, j) in self._c):
                 raise ValueError("polynomial involves v")
-            return UniPoly({i: a for (i, _), a in self._c.items()}, "D")
+            return UniPoly._new({i: a for (i, _), a in self._c.items()}, "D")
         if axis == "v":
             if any(i for (i, _) in self._c):
                 raise ValueError("polynomial involves D")
-            return UniPoly({j: a for (_, j), a in self._c.items()}, "v")
+            return UniPoly._new({j: a for (_, j), a in self._c.items()}, "v")
         raise ValueError("axis must be 'D' or 'v'")
 
     def exact_div(self, g: "BiPoly") -> "BiPoly | None":
@@ -500,32 +547,18 @@ class BiPoly:
                 return None
             mono = (fl[0] - gl[0], fl[1] - gl[1])
             c = r[fl] / glc
-            q[mono] = q.get(mono, Fraction(0)) + c
+            q[mono] = q[mono] + c if mono in q else c
             for (i, j), a in g._c.items():
                 k = (i + mono[0], j + mono[1])
-                nv = r.get(k, Fraction(0)) - c * a
+                nv = r[k] - c * a if k in r else -(c * a)
                 if nv:
                     r[k] = nv
                 else:
                     r.pop(k, None)
-        return BiPoly(q)
-
-    def zero_like(self) -> "BiPoly":
-        return BiPoly.zero()
-
-    def one_like(self) -> "BiPoly":
-        return BiPoly.const(1)
+        return BiPoly._new(q)
 
     def __str__(self) -> str:
-        terms = []
-        for i, j, a in sorted(self.items(), key=lambda t: (-(t[0] + t[1]), -t[0])):
-            parts = []
-            if i:
-                parts.append("D" if i == 1 else f"D^{i}")
-            if j:
-                parts.append("v" if j == 1 else f"v^{j}")
-            terms.append(_term_str(a, "*".join(parts)))
-        return _join_terms(terms)
+        return _pair_str(self.items(), "D", "v")
 
     def __repr__(self) -> str:
         return f"BiPoly({self})"
@@ -621,6 +654,16 @@ class PolyMatrix:
         self.rows = tuple(coerced)
 
     @classmethod
+    def _new(cls, rows: Sequence[Sequence[UniPoly]], var: str) -> "PolyMatrix":
+        """Trusted builder: ``rows`` is square and holds UniPoly entries
+        tagged ``var``."""
+        out = object.__new__(cls)
+        out.n = len(rows)
+        out.var = var
+        out.rows = tuple(map(tuple, rows))
+        return out
+
+    @classmethod
     def identity(cls, n: int, var: str) -> "PolyMatrix":
         return cls(
             [[1 if i == j else 0 for j in range(n)] for i in range(n)], var
@@ -657,26 +700,27 @@ class PolyMatrix:
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
         self._require_compatible(other)
-        return PolyMatrix(
-            [
-                [self.rows[i][j] + other.rows[i][j] for j in range(self.n)]
-                for i in range(self.n)
-            ],
+        return PolyMatrix._new(
+            [[x + y for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)],
             self.var,
         )
 
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        return self + (-other)
+        self._require_compatible(other)
+        return PolyMatrix._new(
+            [[x - y for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)],
+            self.var,
+        )
 
     def __neg__(self) -> "PolyMatrix":
-        return PolyMatrix([[-e for e in r] for r in self.rows], self.var)
+        return self.map(UniPoly.__neg__)
 
     def __mul__(self, other: "PolyMatrix | UniPoly | Scalar") -> "PolyMatrix":
         if isinstance(other, PolyMatrix):
             self._require_compatible(other)
-            return PolyMatrix(_gen_matmul(self.rows, other.rows), self.var)
+            return PolyMatrix._new(_gen_matmul(self.rows, other.rows), self.var)
         if isinstance(other, (UniPoly, int, Fraction)):
-            return PolyMatrix(
+            return PolyMatrix._new(
                 [[e * other for e in r] for r in self.rows], self.var
             )
         return NotImplemented
@@ -685,26 +729,24 @@ class PolyMatrix:
         return self.__mul__(other)
 
     def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(
-            [[self.rows[j][i] for j in range(self.n)] for i in range(self.n)],
-            self.var,
-        )
+        return PolyMatrix._new(tuple(zip(*self.rows)), self.var)
 
     def det(self) -> UniPoly:
         return _gen_det(self.rows)
 
     def adjugate(self) -> "PolyMatrix":
-        return PolyMatrix(_gen_adjugate(self.rows), self.var)
+        return PolyMatrix._new(_gen_adjugate(self.rows), self.var)
 
     def map(self, f) -> "PolyMatrix":
-        return PolyMatrix([[f(e) for e in r] for r in self.rows], self.var)
+        """Apply ``f`` entrywise; it must return a UniPoly with this tag."""
+        return PolyMatrix._new([[f(e) for e in r] for r in self.rows], self.var)
 
     def shift(self, alpha: Scalar) -> "PolyMatrix":
         """Substitute x -> x + alpha entrywise."""
         return self.map(lambda e: e.shift(alpha))
 
     def retag(self, var: str) -> "PolyMatrix":
-        return PolyMatrix([[e.retag(var) for e in r] for r in self.rows], var)
+        return PolyMatrix._new([[e.retag(var) for e in r] for r in self.rows], var)
 
     def is_zero(self) -> bool:
         return all(not e for r in self.rows for e in r)
@@ -871,7 +913,7 @@ def smith_normal_form(
             if lc != 1:
                 row_scale(k, Fraction(1) / lc)
 
-    return PolyMatrix(t, var), PolyMatrix(s, var), PolyMatrix(u, var)
+    return PolyMatrix._new(t, var), PolyMatrix._new(s, var), PolyMatrix._new(u, var)
 
 
 class HSubmoduleBasis:

@@ -23,35 +23,20 @@ from math import comb, factorial
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatchError
-from .poly import Scalar, UniPoly, _join_terms, _term_str
+from .poly import Scalar, UniPoly, _gen_matmul, _pair_str, _pair_terms, _Sparse
 
 
-class WeylElement:
+class WeylElement(_Sparse):
     """Element of the first Weyl algebra in normal form."""
 
-    __slots__ = ("_c",)
+    __slots__ = ()
 
     def __init__(
         self,
         coeffs: Mapping[tuple[int, int], Scalar]
         | Iterable[tuple[int, int, Scalar]] = (),
     ):
-        acc: dict[tuple[int, int], Fraction] = {}
-        if isinstance(coeffs, Mapping):
-            entries: Iterable[tuple[int, int, Scalar]] = (
-                (i, j, a) for (i, j), a in coeffs.items()
-            )
-        else:
-            entries = coeffs
-        for i, j, a in entries:
-            i, j = int(i), int(j)
-            if i < 0 or j < 0:
-                raise ValueError("exponents must be nonnegative")
-            a = Fraction(a)
-            key = (i, j)
-            if a or key in acc:
-                acc[key] = acc.get(key, Fraction(0)) + a
-        self._c = {k: a for k, a in acc.items() if a}
+        self._c = _pair_terms(coeffs, "exponents must be nonnegative")
 
     @classmethod
     def zero(cls) -> "WeylElement":
@@ -76,9 +61,9 @@ class WeylElement:
     @classmethod
     def from_poly(cls, f: UniPoly, axis: str = "p") -> "WeylElement":
         if axis == "p":
-            return cls([(d, 0, a) for d, a in f.items()])
+            return cls._new({(d, 0): a for d, a in f._c.items()})
         if axis == "q":
-            return cls([(0, d, a) for d, a in f.items()])
+            return cls._new({(0, d): a for d, a in f._c.items()})
         raise ValueError("axis must be 'p' or 'q'")
 
     def items(self) -> list[tuple[int, int, Fraction]]:
@@ -95,12 +80,6 @@ class WeylElement:
     def deg_q(self) -> int | None:
         return max(j for _, j in self._c) if self._c else None
 
-    def is_zero(self) -> bool:
-        return not self._c
-
-    def __bool__(self) -> bool:
-        return bool(self._c)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeylElement):
             return NotImplemented
@@ -109,61 +88,17 @@ class WeylElement:
     def __hash__(self) -> int:
         return hash(tuple(self.items()))
 
-    def __add__(self, other: "WeylElement") -> "WeylElement":
-        if not isinstance(other, WeylElement):
-            return NotImplemented
-        c = dict(self._c)
-        for k, a in other._c.items():
-            c[k] = c.get(k, Fraction(0)) + a
-        return WeylElement(c)
-
-    def __sub__(self, other: "WeylElement") -> "WeylElement":
-        return self + (-other)
-
-    def __neg__(self) -> "WeylElement":
-        return WeylElement({k: -a for k, a in self._c.items()})
-
     def __mul__(self, other: "WeylElement | Scalar") -> "WeylElement":
         if isinstance(other, WeylElement):
             return weyl_mul(self, other)
-        if isinstance(other, (int, Fraction)):
-            return WeylElement({k: a * other for k, a in self._c.items()})
-        return NotImplemented
-
-    def __rmul__(self, other: Scalar) -> "WeylElement":
-        # scalars commute, so this only accepts true scalars
-        if isinstance(other, (int, Fraction)):
-            return self.__mul__(other)
-        return NotImplemented
-
-    def __pow__(self, n: int) -> "WeylElement":
-        if n < 0:
-            raise ValueError("negative power")
-        out = WeylElement.one()
-        for _ in range(n):
-            out = weyl_mul(out, self)
-        return out
+        return _Sparse.__mul__(self, other)
 
     def p_part(self) -> UniPoly:
         """The q-free part, read as a polynomial in p."""
-        return UniPoly({i: a for (i, j), a in self._c.items() if j == 0}, "p")
-
-    def zero_like(self) -> "WeylElement":
-        return WeylElement.zero()
-
-    def one_like(self) -> "WeylElement":
-        return WeylElement.one()
+        return UniPoly._new({i: a for (i, j), a in self._c.items() if j == 0}, "p")
 
     def __str__(self) -> str:
-        terms = []
-        for i, j, a in sorted(self.items(), key=lambda t: (-(t[0] + t[1]), -t[0])):
-            parts = []
-            if i:
-                parts.append("p" if i == 1 else f"p^{i}")
-            if j:
-                parts.append("q" if j == 1 else f"q^{j}")
-            terms.append(_term_str(a, "*".join(parts)))
-        return _join_terms(terms)
+        return _pair_str(self.items(), "p", "q")
 
     def __repr__(self) -> str:
         return f"WeylElement({self})"
@@ -178,22 +113,18 @@ def weyl_mul(a: WeylElement, b: WeylElement) -> WeylElement:
             for k in range(min(j1, i2) + 1):
                 key = (i1 + i2 - k, j1 + j2 - k)
                 w = coeff * factorial(k) * comb(j1, k) * comb(i2, k)
-                c[key] = c.get(key, Fraction(0)) + w
-    return WeylElement(c)
+                c[key] = c[key] + w if key in c else w
+    return WeylElement._new(c)
 
 
 def weyl_dq(a: WeylElement) -> WeylElement:
     """Formal derivative in q; equals the commutator a*p - p*a."""
-    return WeylElement(
-        [(i, j - 1, j * c) for (i, j), c in a._c.items() if j]
-    )
+    return WeylElement._new({(i, j - 1): j * c for (i, j), c in a._c.items() if j})
 
 
 def weyl_dp(a: WeylElement) -> WeylElement:
     """Formal derivative in p; equals the commutator q*a - a*q."""
-    return WeylElement(
-        [(i - 1, j, i * c) for (i, j), c in a._c.items() if i]
-    )
+    return WeylElement._new({(i - 1, j): i * c for (i, j), c in a._c.items() if i})
 
 
 def weyl_endo(a: WeylElement, alpha: Scalar, h: UniPoly) -> WeylElement:
@@ -242,6 +173,14 @@ class WeylMatrix:
         self.rows = tuple(coerced)
 
     @classmethod
+    def _new(cls, rows: Sequence[Sequence[WeylElement]]) -> "WeylMatrix":
+        """Trusted builder: ``rows`` is square and holds WeylElement entries."""
+        out = object.__new__(cls)
+        out.n = len(rows)
+        out.rows = tuple(map(tuple, rows))
+        return out
+
+    @classmethod
     def identity(cls, n: int) -> "WeylMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
@@ -252,7 +191,7 @@ class WeylMatrix:
     @classmethod
     def from_poly_matrix(cls, m, axis: str = "p") -> "WeylMatrix":
         """Lift a matrix of univariate polynomials along one generator."""
-        return cls(
+        return cls._new(
             [
                 [WeylElement.from_poly(m.entry(i, j), axis) for j in range(m.n)]
                 for i in range(m.n)
@@ -276,34 +215,25 @@ class WeylMatrix:
 
     def __add__(self, other: "WeylMatrix") -> "WeylMatrix":
         self._require_same_size(other)
-        return WeylMatrix(
-            [
-                [self.rows[i][j] + other.rows[i][j] for j in range(self.n)]
-                for i in range(self.n)
-            ]
+        return WeylMatrix._new(
+            [[x + y for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)]
         )
 
     def __sub__(self, other: "WeylMatrix") -> "WeylMatrix":
-        return self + (-other)
+        self._require_same_size(other)
+        return WeylMatrix._new(
+            [[x - y for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)]
+        )
 
     def __neg__(self) -> "WeylMatrix":
-        return WeylMatrix([[-e for e in r] for r in self.rows])
+        return self.map(WeylElement.__neg__)
 
     def __mul__(self, other: "WeylMatrix | Scalar") -> "WeylMatrix":
         if isinstance(other, WeylMatrix):
             self._require_same_size(other)
-            out = []
-            for i in range(self.n):
-                row = []
-                for j in range(self.n):
-                    acc = WeylElement.zero()
-                    for k in range(self.n):
-                        acc = acc + weyl_mul(self.rows[i][k], other.rows[k][j])
-                    row.append(acc)
-                out.append(row)
-            return WeylMatrix(out)
+            return WeylMatrix._new(_gen_matmul(self.rows, other.rows))
         if isinstance(other, (int, Fraction)):
-            return WeylMatrix([[e * other for e in r] for r in self.rows])
+            return self.map(lambda e: e * other)
         return NotImplemented
 
     def __rmul__(self, other: Scalar) -> "WeylMatrix":
@@ -313,19 +243,18 @@ class WeylMatrix:
 
     def lscale(self, w: WeylElement) -> "WeylMatrix":
         """Entrywise left multiplication by w (= (w*Id) * self)."""
-        return WeylMatrix([[weyl_mul(w, e) for e in r] for r in self.rows])
+        return self.map(lambda e: weyl_mul(w, e))
 
     def rscale(self, w: WeylElement) -> "WeylMatrix":
         """Entrywise right multiplication by w."""
-        return WeylMatrix([[weyl_mul(e, w) for e in r] for r in self.rows])
+        return self.map(lambda e: weyl_mul(e, w))
 
     def map(self, f) -> "WeylMatrix":
-        return WeylMatrix([[f(e) for e in r] for r in self.rows])
+        """Apply ``f`` entrywise; it must return a WeylElement."""
+        return WeylMatrix._new([[f(e) for e in r] for r in self.rows])
 
     def transpose(self) -> "WeylMatrix":
-        return WeylMatrix(
-            [[self.rows[j][i] for j in range(self.n)] for i in range(self.n)]
-        )
+        return WeylMatrix._new(tuple(zip(*self.rows)))
 
     def is_zero(self) -> bool:
         return all(not e for r in self.rows for e in r)
@@ -353,7 +282,7 @@ def q_truncate(a: "WeylElement | WeylMatrix", n: int) -> "WeylElement | WeylMatr
     """Representative modulo right multiples of q^n: keep q-degrees < n."""
     if isinstance(a, WeylMatrix):
         return a.map(lambda e: q_truncate(e, n))
-    return WeylElement({k: c for k, c in a._c.items() if k[1] < n})
+    return a._like({k: c for k, c in a._c.items() if k[1] < n})
 
 
 @dataclass(frozen=True)
@@ -426,9 +355,7 @@ def split_by_shift(a: WeylElement) -> tuple[WeylElement, UniPoly]:
     Applied to (q -+ h)^n this isolates the n-th entry of the corresponding
     coefficient sequence.
     """
-    stem = WeylElement(
-        [(i, j - 1, c) for (i, j), c in a._c.items() if j > 0]
-    )
+    stem = a._like({(i, j - 1): c for (i, j), c in a._c.items() if j > 0})
     return stem, a.p_part()
 
 

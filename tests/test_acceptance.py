@@ -20,11 +20,13 @@ is meant to be read top to bottom as the contract of the library:
   14  byte-identical seeded verification runs
 """
 
+import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 from test_weyl import slow_mul
 
@@ -433,7 +435,11 @@ def test_13_current_and_shift_generators_satisfy_the_structure_relations():
             deriv = deriv.map(lambda f: f.derivative())
 
 
-def test_14_seeded_verification_runs_are_byte_identical():
+def test_14_seeded_verification_runs_are_byte_identical(monkeypatch):
+    # the children import cend from this checkout, whatever PYTHONPATH says
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    rest = os.environ.get("PYTHONPATH")
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, [src, rest])))
     cmd = [sys.executable, "-m", "cend", "verify", "--seed", "42"]
     first = subprocess.run(cmd, input="", capture_output=True, text=True)
     second = subprocess.run(cmd, input="", capture_output=True, text=True)

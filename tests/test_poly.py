@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cend.conformal import ConformalElement, nproduct, nproducts
 from cend.errors import (
     DimensionMismatchError,
     NotUnimodularError,
@@ -121,6 +122,94 @@ class TestUniPolyLaws:
             assert g.lead == 1
             assert a % g == UniPoly.zero("x")
             assert b % g == UniPoly.zero("x")
+
+
+def assert_well_formed(p):
+    """Stored coefficients are nonzero Fractions under nonnegative keys, and
+    the public constructor rebuilds an equal value with an equal hash."""
+    for key, a in p._c.items():
+        assert type(a) is Fraction and a != 0
+        for k in key if isinstance(key, tuple) else (key,):
+            assert type(k) is int and k >= 0
+    again = UniPoly(p._c, p.var) if isinstance(p, UniPoly) else type(p)(p._c)
+    assert again == p and hash(again) == hash(p)
+
+
+def assert_matrix_well_formed(m):
+    """Rows are tuples of well-formed entries, and the public constructor
+    rebuilds an equal matrix with an equal hash."""
+    rows = m.entries if isinstance(m, ConformalElement) else m.rows
+    assert type(rows) is tuple and len(rows) == m.n
+    for r in rows:
+        assert type(r) is tuple and len(r) == m.n
+        for e in r:
+            assert_well_formed(e)
+    lists = [list(r) for r in rows]
+    again = PolyMatrix(lists, m.var) if isinstance(m, PolyMatrix) else type(m)(lists)
+    assert again == m and hash(again) == hash(m)
+
+
+@st.composite
+def bipolys(draw, max_deg=3, max_terms=3):
+    coeffs = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        key = (draw(st.integers(0, max_deg)), draw(st.integers(0, max_deg)))
+        coeffs[key] = draw(st.fractions(-4, 4, max_denominator=3))
+    return BiPoly(coeffs)
+
+
+class TestKernelInvariant:
+    @given(unipolys(), unipolys(), st.fractions(-3, 3, max_denominator=4))
+    def test_unipoly_results(self, a, b, c):
+        results = [a + b, a - b, a - a, -a, a * b, a * c, c * a, 2 * a, a * 0]
+        results += [a.derivative(), a.retag("v"), a**2, a.shift(c), a.monic()]
+        if b:
+            results += [*divmod(a, b), (a * b).exact_div(b)]
+        for p in results:
+            assert_well_formed(p)
+
+    @given(bipolys(), bipolys(), st.fractions(-3, 3, max_denominator=4))
+    def test_bipoly_results(self, a, b, c):
+        results = [a + b, a - b, -a, a * b, a * c, c * a, a * 0, a.shift_v(c)]
+        results += [a.dv(), a.dd(), a.flip_d(), a.eval_d0(), a.subst_v(b)]
+        results += [*a.d_coeffs().values(), *a.v_coeffs().values()]
+        if b:
+            results.append((a * b).exact_div(b))
+        for p in results:
+            assert_well_formed(p)
+
+    @given(st.integers(1, 3), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matrix_results(self, n, data):
+        def entries(strategy):
+            return [[data.draw(strategy) for _ in range(n)] for _ in range(n)]
+
+        x, y = (PolyMatrix(entries(unipolys(var="v", max_deg=2)), "v") for _ in "xy")
+        a, b = (ConformalElement(entries(bipolys(max_deg=2))) for _ in "ab")
+        for m in [x * y, x + y, x - y, -x, x * V, 3 * x, x.transpose(),
+                  x.adjugate(), x.map(UniPoly.derivative), x.retag("p"),
+                  *smith_normal_form(x)]:
+            assert_matrix_well_formed(m)
+        for m in [a * b, a + b, a - b, -a, a * VV, a.d_mul(), a.transpose(),
+                  nproduct(a, 1, b), *nproducts(a, b), *a.d_coeffs().values(),
+                  *a.v_coeffs().values()]:
+            assert_matrix_well_formed(m)
+
+    @pytest.mark.parametrize(
+        "build,error",
+        [
+            (lambda: UniPoly({-1: 1}, "x"), ValueError),
+            (lambda: UniPoly([(2, "two")], "x"), ValueError),
+            (lambda: UniPoly({0: 1j}, "x"), TypeError),
+            (lambda: BiPoly({(0, -1): 1}), ValueError),
+            (lambda: BiPoly([(1, 0, None)]), TypeError),
+            (lambda: PolyMatrix([[V, UniPoly.gen("x")], [V, V]]), ValueError),
+            (lambda: ConformalElement([[VV, VV]]), DimensionMismatchError),
+        ],
+    )
+    def test_public_constructors_reject_bad_input(self, build, error):
+        with pytest.raises(error):
+            build()
 
 
 DD = BiPoly.D()

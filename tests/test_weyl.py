@@ -1,9 +1,12 @@
 from fractions import Fraction
 from functools import lru_cache
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_poly import assert_matrix_well_formed, assert_well_formed
 
+from cend.errors import DimensionMismatchError
 from cend.poly import PolyMatrix, UniPoly
 from cend.weyl import (
     HSeqPair,
@@ -61,6 +64,43 @@ def weyl_elements(draw, max_deg=3, max_terms=3):
         j = draw(st.integers(0, max_deg))
         coeffs[(i, j)] = draw(st.integers(-4, 4))
     return WeylElement(coeffs)
+
+
+class TestKernelInvariant:
+    @given(weyl_elements(), weyl_elements(), st.fractions(-3, 3, max_denominator=4))
+    def test_element_results(self, a, b, c):
+        results = [a + b, a - b, a - a, -a, weyl_mul(a, b), a * b, a * c, c * a]
+        results += [a * 0, a**2, weyl_dq(a), weyl_dp(a), q_truncate(a, 2)]
+        results += [split_by_shift(a)[0], weyl_endo(a, c, UniPoly.gen("p"))]
+        for w in results:
+            assert_well_formed(w)
+        assert_well_formed(a.p_part())
+
+    @given(st.integers(1, 3), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matrix_results(self, n, data):
+        def draw():
+            return WeylMatrix(
+                [[data.draw(weyl_elements(2, 2)) for _ in range(n)] for _ in range(n)]
+            )
+
+        x, y, w = draw(), draw(), data.draw(weyl_elements(2, 2))
+        for m in [x * y, x + y, x - y, -x, 2 * x, x.lscale(w), x.rscale(w),
+                  x.transpose(), x.map(weyl_dq), q_truncate(x, 1)]:
+            assert_matrix_well_formed(m)
+
+    @pytest.mark.parametrize(
+        "build,error",
+        [
+            (lambda: WeylElement({(-1, 0): 1}), ValueError),
+            (lambda: WeylElement([(0, 1, "q")]), ValueError),
+            (lambda: WeylElement([(0, 1, 1j)]), TypeError),
+            (lambda: WeylMatrix([[P, Q]]), DimensionMismatchError),
+        ],
+    )
+    def test_public_constructors_reject_bad_input(self, build, error):
+        with pytest.raises(error):
+            build()
 
 
 class TestWeylMul:
