@@ -36,7 +36,6 @@ from .poly import (
     HSubmoduleBasis,
     PolyMatrix,
     UniPoly,
-    divide_left_exact,
     divide_right_exact,
     hermite_reduce,
     rat,
@@ -114,23 +113,10 @@ def compose_autom(t1: AutomorphismSpec, t2: AutomorphismSpec) -> AutomorphismSpe
     )
 
 
-def _uni_at(f: UniPoly, t: BiPoly) -> BiPoly:
-    """Evaluate a univariate polynomial at a bivariate argument."""
-    out = BiPoly.const(0)
-    power = BiPoly.const(1)
-    last = 0
-    for d, c in sorted(f.items()):
-        for _ in range(d - last):
-            power = power * t
-        last = d
-        out = out + power * c
-    return out
-
-
 def _matrix_at(q: PolyMatrix, t: BiPoly) -> ConformalElement:
     """A matrix over ``k[x]`` evaluated entrywise at a bivariate argument."""
-    return ConformalElement(
-        [[_uni_at(q.entry(i, j), t) for j in range(q.n)] for i in range(q.n)]
+    return ConformalElement._new(
+        [[BiPoly.from_uni(e, "v").subst_v(t) for e in r] for r in q.rows]
     )
 
 
@@ -180,15 +166,16 @@ def left_ideal_member(x: ConformalElement, q: PolyMatrix) -> bool:
     if x.n != q.n:
         raise DimensionMismatchError(f"sizes {x.n} and {q.n}")
     divisor = _matrix_at(q, _V_MINUS_D)
-    return divide_right_exact(x.entries, divisor.entries) is not None
+    return divide_right_exact(x.rows, divisor.rows) is not None
 
 
 def right_ideal_member(x: ConformalElement, p: PolyMatrix) -> bool:
     """Whether ``x`` lies in the right ideal of all ``P(v) * M(D, v)``."""
     if x.n != p.n:
         raise DimensionMismatchError(f"sizes {x.n} and {p.n}")
+    # the entries commute, so P * M = X exactly when M^T * P^T = X^T
     divisor = _matrix_at(p, _V)
-    return divide_left_exact(x.entries, divisor.entries) is not None
+    return divide_right_exact(x.transpose().rows, divisor.transpose().rows) is not None
 
 
 def e_nq(n: int, q: PolyMatrix) -> ConformalElement:

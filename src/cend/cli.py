@@ -47,13 +47,11 @@ from .poly import smith_normal_form
 from .render import (
     render_classification,
     render_closure,
-    render_conformal,
     render_diffseq,
     render_hseq,
     render_kv_result,
-    render_polymatrix,
+    render_matrix,
     render_report,
-    render_weyl_matrix,
 )
 from .serialize import (
     autom_from_json,
@@ -112,7 +110,7 @@ def _cmd_nproduct(args, payload):
     a = conformal_from_json(_field(payload, "a"))
     b = conformal_from_json(_field(payload, "b"))
     out = nproduct(a, args.n, b, circ=_flag(payload, "circ"))
-    return conformal_to_json(out), render_conformal(out), 0
+    return conformal_to_json(out), render_matrix(out), 0
 
 
 def _cmd_locality(args, payload):
@@ -128,37 +126,37 @@ def _cmd_bracket(args, payload):
     a = conformal_from_json(_field(payload, "a"))
     b = conformal_from_json(_field(payload, "b"))
     out = bracket(a, args.n, b)
-    return conformal_to_json(out), render_conformal(out), 0
+    return conformal_to_json(out), render_matrix(out), 0
 
 
 def _cmd_phi(args, payload):
     a = conformal_from_json(_field(payload, "a"))
     out = phi_inv(a) if _flag(payload, "inverse") else phi(a)
-    return conformal_to_json(out), render_conformal(out), 0
+    return conformal_to_json(out), render_matrix(out), 0
 
 
 def _cmd_sigma(args, payload):
     a = conformal_from_json(_field(payload, "a"))
     out = sigma(a)
-    return conformal_to_json(out), render_conformal(out), 0
+    return conformal_to_json(out), render_matrix(out), 0
 
 
 def _cmd_symbol(args, payload):
     a = conformal_from_json(_field(payload, "a"))
     out = symbol(a, args.n)
-    return weylmatrix_to_json(out), render_weyl_matrix(out), 0
+    return weylmatrix_to_json(out), render_matrix(out), 0
 
 
 def _cmd_act(args, payload):
     w = weylmatrix_from_json(_field(payload, "w"))
     b = conformal_from_json(_field(payload, "b"))
     out = act(w, b)
-    return conformal_to_json(out), render_conformal(out), 0
+    return conformal_to_json(out), render_matrix(out), 0
 
 
 def _cmd_reconstruct(args, payload):
     out = reconstruct(diffseq_from_json(payload))
-    return conformal_to_json(out), render_conformal(out), 0
+    return conformal_to_json(out), render_matrix(out), 0
 
 
 def _cmd_fit_seq(args, payload):
@@ -178,7 +176,7 @@ def _cmd_smith(args, payload):
         "U": polymatrix_to_json(u),
     }
     text = "\n".join(
-        label + "\n" + render_polymatrix(m)
+        label + "\n" + render_matrix(m)
         for label, m in (("Dg:", dg), ("T:", t), ("U:", u))
     )
     return obj, text, 0
@@ -188,14 +186,14 @@ def _cmd_autom(args, payload):
     a = conformal_from_json(_field(payload, "a"))
     t = autom_from_json(_field(payload, "autom"))
     out = apply_autom(a, t)
-    return conformal_to_json(out), render_conformal(out), 0
+    return conformal_to_json(out), render_matrix(out), 0
 
 
 def _cmd_autom_weyl(args, payload):
     w = weylmatrix_from_json(_field(payload, "w"))
     t = autom_from_json(_field(payload, "autom"))
     out = apply_autom_weyl(w, t)
-    return weylmatrix_to_json(out), render_weyl_matrix(out), 0
+    return weylmatrix_to_json(out), render_matrix(out), 0
 
 
 def _cmd_ideal_member(args, payload):

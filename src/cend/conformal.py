@@ -26,40 +26,21 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import DimensionMismatchError
-from .poly import BiPoly, PolyMatrix, Scalar, UniPoly, _gen_matmul
+from .poly import BiPoly, PolyMatrix, Scalar, UniPoly, _Matrix
 
 
-class ConformalElement:
+class ConformalElement(_Matrix):
     """Square matrix over k[D, v]."""
 
-    __slots__ = ("n", "entries")
+    __slots__ = ()
 
     def __init__(self, rows: Sequence[Sequence[BiPoly | Scalar]]):
-        n = len(rows)
-        if any(len(r) != n for r in rows):
-            raise DimensionMismatchError("matrix must be square")
-        coerced = []
-        for r in rows:
-            row = []
-            for e in r:
-                if isinstance(e, BiPoly):
-                    row.append(e)
-                else:
-                    row.append(BiPoly.const(e))
-            coerced.append(tuple(row))
-        self.n = n
-        self.entries = tuple(coerced)
-
-    @classmethod
-    def _new(cls, rows: Sequence[Sequence[BiPoly]]) -> "ConformalElement":
-        """Trusted builder: ``rows`` is square and holds BiPoly entries."""
-        out = object.__new__(cls)
-        out.n = len(rows)
-        out.entries = tuple(map(tuple, rows))
-        return out
+        super().__init__(
+            rows, lambda e: e if isinstance(e, BiPoly) else BiPoly.const(e)
+        )
 
     @classmethod
     def zero(cls, n: int) -> "ConformalElement":
@@ -97,49 +78,12 @@ class ConformalElement:
                         cell[(i, d)] = a
         return cls._new([[BiPoly._new(c) for c in r] for r in cells])
 
-    def entry(self, i: int, j: int) -> BiPoly:
-        return self.entries[i][j]
-
-    def _require_same_size(self, other: "ConformalElement") -> None:
-        if self.n != other.n:
-            raise DimensionMismatchError(f"sizes {self.n} and {other.n}")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ConformalElement):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
-
-    def __add__(self, other: "ConformalElement") -> "ConformalElement":
-        self._require_same_size(other)
-        return ConformalElement._new(
-            [[x + y for x, y in zip(r, s)] for r, s in zip(self.entries, other.entries)]
-        )
-
-    def __sub__(self, other: "ConformalElement") -> "ConformalElement":
-        self._require_same_size(other)
-        return ConformalElement._new(
-            [[x - y for x, y in zip(r, s)] for r, s in zip(self.entries, other.entries)]
-        )
-
-    def __neg__(self) -> "ConformalElement":
-        return self.map(BiPoly.__neg__)
-
     def __mul__(
         self, other: "ConformalElement | BiPoly | Scalar"
     ) -> "ConformalElement":
-        if isinstance(other, ConformalElement):
-            self._require_same_size(other)
-            return ConformalElement._new(_gen_matmul(self.entries, other.entries))
-        if isinstance(other, (BiPoly, int, Fraction)):
-            return self.map(lambda e: e * other)
-        return NotImplemented
-
-    def __rmul__(self, other: "BiPoly | Scalar") -> "ConformalElement":
-        # the entry ring is commutative
-        return self.__mul__(other)
+        if isinstance(other, BiPoly):
+            return ConformalElement._new([[e * other for e in r] for r in self.rows])
+        return _Matrix.__mul__(self, other)
 
     def d_mul(self) -> "ConformalElement":
         """Multiply by D * Id."""
@@ -149,25 +93,15 @@ class ConformalElement:
         """Multiply by v * Id."""
         return self * BiPoly.v()
 
-    def map(self, f: Callable[[BiPoly], BiPoly]) -> "ConformalElement":
-        """Apply ``f`` entrywise; it must return a BiPoly."""
-        return ConformalElement._new([[f(e) for e in r] for r in self.entries])
-
-    def transpose(self) -> "ConformalElement":
-        return ConformalElement._new(tuple(zip(*self.entries)))
-
     @property
     def deg_d(self) -> int | None:
-        degs = [e.deg_d for r in self.entries for e in r if e]
+        degs = [e.deg_d for r in self.rows for e in r if e]
         return max(degs) if degs else None
 
     @property
     def deg_v(self) -> int | None:
-        degs = [e.deg_v for r in self.entries for e in r if e]
+        degs = [e.deg_v for r in self.rows for e in r if e]
         return max(degs) if degs else None
-
-    def is_zero(self) -> bool:
-        return all(not e for r in self.entries for e in r)
 
     def d_coeffs(self) -> dict[int, PolyMatrix]:
         """Decompose as sum_i D^i A_i(v); returns {i: A_i} over k[v]."""
@@ -175,13 +109,13 @@ class ConformalElement:
         zero = UniPoly.zero("v")
         for r in range(self.n):
             for c in range(self.n):
-                for i, f in self.entries[r][c].d_coeffs().items():
+                for i, f in self.rows[r][c].d_coeffs().items():
                     if i not in out:
                         out[i] = [
                             [zero for _ in range(self.n)] for _ in range(self.n)
                         ]
                     out[i][r][c] = f
-        return {i: PolyMatrix._new(rows, "v") for i, rows in out.items()}
+        return {i: PolyMatrix._new(rows) for i, rows in out.items()}
 
     def v_coeffs(self) -> dict[int, PolyMatrix]:
         """Decompose as sum_j C_j(D) v^j; returns {j: C_j} over k[D]."""
@@ -189,21 +123,13 @@ class ConformalElement:
         zero = UniPoly.zero("D")
         for r in range(self.n):
             for c in range(self.n):
-                for j, f in self.entries[r][c].v_coeffs().items():
+                for j, f in self.rows[r][c].v_coeffs().items():
                     if j not in out:
                         out[j] = [
                             [zero for _ in range(self.n)] for _ in range(self.n)
                         ]
                     out[j][r][c] = f
-        return {j: PolyMatrix._new(rows, "D") for j, rows in out.items()}
-
-    def __str__(self) -> str:
-        return "[" + "; ".join(
-            ", ".join(str(e) for e in r) for r in self.entries
-        ) + "]"
-
-    def __repr__(self) -> str:
-        return f"ConformalElement({self})"
+        return {j: PolyMatrix._new(rows) for j, rows in out.items()}
 
 
 def v_id(n: int) -> ConformalElement:
@@ -342,12 +268,6 @@ def nproducts(
     while table and table[-1].is_zero():
         table.pop()
     return tuple(table)
-
-
-def nproduct_circ(
-    a: ConformalElement, n: int, b: ConformalElement
-) -> ConformalElement:
-    return nproduct(a, n, b, circ=True)
 
 
 def nproduct_recursive(

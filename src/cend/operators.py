@@ -180,7 +180,7 @@ def _w_q_coeffs(w: WeylMatrix) -> dict[int, PolyMatrix]:
                     out[dq] = [[{} for _ in range(w.n)] for _ in range(w.n)]
                 out[dq][i][j][dp] = c
     return {
-        n: PolyMatrix._new([[UniPoly._new(x, "p") for x in r] for r in cells], "p")
+        n: PolyMatrix._new([[UniPoly._new(x, "p") for x in r] for r in cells])
         for n, cells in out.items()
     }
 

@@ -1,10 +1,10 @@
 """Exact polynomial kernel over the rationals.
 
 Sparse univariate and bivariate polynomials with ``fractions.Fraction``
-coefficients, square polynomial matrices, and the two matrix normal forms
-everything else is built on: the Smith form with unimodular witnesses over
-k[x], and a reduced echelon (Hermite) basis for finitely generated
-submodules of k[D]^L.
+coefficients, the square-matrix core shared by every matrix class, square
+polynomial matrices, and the two matrix normal forms everything else is
+built on: the Smith form with unimodular witnesses over k[x], and a reduced
+echelon (Hermite) basis for finitely generated submodules of k[D]^L.
 
 All values are immutable after construction; every operation returns a new
 object. Zero coefficients are never stored, so structural equality is
@@ -615,53 +615,126 @@ def _gen_adjugate(rows: Sequence[Sequence]) -> list[list]:
     return adj
 
 
-class PolyMatrix:
-    """Square matrix over k[var]."""
+class _Matrix:
+    """Shared core of the square-matrix classes.
 
-    __slots__ = ("n", "var", "rows")
+    ``rows`` is a nonempty square tuple of row tuples over one entry ring.
+    The public constructors validate data from outside and decide how a
+    scalar becomes an entry; results of internal arithmetic are built by
+    ``_new``, which trusts its input.  A matrix equals only a matrix of the
+    same class with equal rows.
+    """
+
+    __slots__ = ("n", "rows")
+
+    def __init__(self, rows: Sequence[Sequence], coerce) -> None:
+        n = len(rows)
+        if not n or any(len(r) != n for r in rows):
+            raise DimensionMismatchError("matrix must be square and nonempty")
+        self.n = n
+        self.rows = tuple(tuple(map(coerce, r)) for r in rows)
+
+    @classmethod
+    def _new(cls, rows: Sequence[Sequence]):
+        """Trusted builder: ``rows`` is square and holds entries of the ring."""
+        out = object.__new__(cls)
+        out.n = len(rows)
+        out.rows = tuple(map(tuple, rows))
+        return out
+
+    def entry(self, i: int, j: int):
+        return self.rows[i][j]
+
+    def _require_same_size(self, other: "_Matrix") -> None:
+        if self.n != other.n:
+            raise DimensionMismatchError(f"sizes {self.n} and {other.n}")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash(self.rows)
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._require_same_size(other)
+        return self._new(
+            [[x + y for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)]
+        )
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._require_same_size(other)
+        return self._new(
+            [[x - y for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)]
+        )
+
+    def __neg__(self):
+        return self._new([[-e for e in r] for r in self.rows])
+
+    def __mul__(self, other):
+        """Matrix product or rational multiple; subclasses whose entry ring
+        is commutative add the ring scalar."""
+        if type(other) is type(self):
+            # the size check is inlined: this is the kernel's hot path
+            if self.n != other.n:
+                raise DimensionMismatchError(f"sizes {self.n} and {other.n}")
+            return self._new(_gen_matmul(self.rows, other.rows))
+        if isinstance(other, (int, Fraction)):
+            return self._new([[e * other for e in r] for r in self.rows])
+        return NotImplemented
+
+    def __rmul__(self, other):
+        # only scalars land here, and __mul__ accepts only those that commute
+        return self.__mul__(other)
+
+    def map(self, f):
+        """Apply ``f`` entrywise; it must return an entry of the same ring
+        (and, over k[x], the same variable)."""
+        return self._new([[f(e) for e in r] for r in self.rows])
+
+    def transpose(self):
+        return self._new(tuple(zip(*self.rows)))
+
+    def is_zero(self) -> bool:
+        return all(not e for r in self.rows for e in r)
+
+    def __str__(self) -> str:
+        return "[" + "; ".join(", ".join(str(e) for e in r) for r in self.rows) + "]"
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+
+class PolyMatrix(_Matrix):
+    """Square matrix over k[var]; the variable is read from the entries."""
+
+    __slots__ = ()
 
     def __init__(
         self,
         rows: Sequence[Sequence[UniPoly | Scalar]],
         var: str | None = None,
     ):
-        n = len(rows)
-        if any(len(r) != n for r in rows):
-            raise DimensionMismatchError("matrix must be square")
         if var is None:
-            for r in rows:
-                for e in r:
-                    if isinstance(e, UniPoly):
-                        var = e.var
-                        break
-                if var is not None:
-                    break
-            if var is None:
-                raise ValueError("cannot infer the variable tag")
-        coerced = []
-        for r in rows:
-            row = []
-            for e in r:
-                if isinstance(e, UniPoly):
-                    if e.var != var:
-                        raise ValueError("mixed variable tags in matrix")
-                    row.append(e)
-                else:
-                    row.append(UniPoly.const(e, var))
-            coerced.append(tuple(row))
-        self.n = n
-        self.var = var
-        self.rows = tuple(coerced)
+            var = next(
+                (e.var for r in rows for e in r if isinstance(e, UniPoly)), None
+            )
 
-    @classmethod
-    def _new(cls, rows: Sequence[Sequence[UniPoly]], var: str) -> "PolyMatrix":
-        """Trusted builder: ``rows`` is square and holds UniPoly entries
-        tagged ``var``."""
-        out = object.__new__(cls)
-        out.n = len(rows)
-        out.var = var
-        out.rows = tuple(map(tuple, rows))
-        return out
+        def coerce(e):
+            if not isinstance(e, UniPoly):
+                if var is None:
+                    raise ValueError("cannot infer the variable tag")
+                return UniPoly.const(e, var)
+            if e.var != var:
+                raise ValueError("mixed variable tags in matrix")
+            return e
+
+        super().__init__(rows, coerce)
 
     @classmethod
     def identity(cls, n: int, var: str) -> "PolyMatrix":
@@ -681,81 +754,27 @@ class PolyMatrix:
             var,
         )
 
-    def entry(self, i: int, j: int) -> UniPoly:
-        return self.rows[i][j]
-
-    def _require_compatible(self, other: "PolyMatrix") -> None:
-        if self.n != other.n:
-            raise DimensionMismatchError(f"sizes {self.n} and {other.n}")
-        if self.var != other.var:
-            raise ValueError("variable tags differ")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        return self.var == other.var and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash((self.var, self.rows))
-
-    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        self._require_compatible(other)
-        return PolyMatrix._new(
-            [[x + y for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)],
-            self.var,
-        )
-
-    def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        self._require_compatible(other)
-        return PolyMatrix._new(
-            [[x - y for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)],
-            self.var,
-        )
-
-    def __neg__(self) -> "PolyMatrix":
-        return self.map(UniPoly.__neg__)
+    @property
+    def var(self) -> str:
+        return self.rows[0][0].var
 
     def __mul__(self, other: "PolyMatrix | UniPoly | Scalar") -> "PolyMatrix":
-        if isinstance(other, PolyMatrix):
-            self._require_compatible(other)
-            return PolyMatrix._new(_gen_matmul(self.rows, other.rows), self.var)
-        if isinstance(other, (UniPoly, int, Fraction)):
-            return PolyMatrix._new(
-                [[e * other for e in r] for r in self.rows], self.var
-            )
-        return NotImplemented
-
-    def __rmul__(self, other: "UniPoly | Scalar") -> "PolyMatrix":
-        return self.__mul__(other)
-
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix._new(tuple(zip(*self.rows)), self.var)
+        if isinstance(other, UniPoly):
+            return PolyMatrix._new([[e * other for e in r] for r in self.rows])
+        return _Matrix.__mul__(self, other)
 
     def det(self) -> UniPoly:
         return _gen_det(self.rows)
 
     def adjugate(self) -> "PolyMatrix":
-        return PolyMatrix._new(_gen_adjugate(self.rows), self.var)
-
-    def map(self, f) -> "PolyMatrix":
-        """Apply ``f`` entrywise; it must return a UniPoly with this tag."""
-        return PolyMatrix._new([[f(e) for e in r] for r in self.rows], self.var)
+        return PolyMatrix._new(_gen_adjugate(self.rows))
 
     def shift(self, alpha: Scalar) -> "PolyMatrix":
         """Substitute x -> x + alpha entrywise."""
         return self.map(lambda e: e.shift(alpha))
 
     def retag(self, var: str) -> "PolyMatrix":
-        return PolyMatrix._new([[e.retag(var) for e in r] for r in self.rows], var)
-
-    def is_zero(self) -> bool:
-        return all(not e for r in self.rows for e in r)
-
-    def __str__(self) -> str:
-        return "[" + "; ".join(", ".join(str(e) for e in r) for r in self.rows) + "]"
-
-    def __repr__(self) -> str:
-        return f"PolyMatrix[{self.var}]({self})"
+        return PolyMatrix._new([[e.retag(var) for e in r] for r in self.rows])
 
 
 def unimodular_inverse(q: PolyMatrix) -> PolyMatrix:
@@ -786,28 +805,6 @@ def divide_right_exact(
     if not d:
         raise SingularMatrixError("divisor matrix has zero determinant")
     y = _gen_matmul(x, _gen_adjugate(q))
-    out = []
-    for row in y:
-        orow = []
-        for e in row:
-            m = e.exact_div(d)
-            if m is None:
-                return None
-            orow.append(m)
-        out.append(orow)
-    return out
-
-
-def divide_left_exact(
-    x: Sequence[Sequence], q: Sequence[Sequence]
-) -> list[list] | None:
-    """Solve Q * M = X exactly over the polynomial ring (see divide_right_exact)."""
-    if len(x) != len(q):
-        raise DimensionMismatchError(f"sizes {len(x)} and {len(q)}")
-    d = _gen_det(q)
-    if not d:
-        raise SingularMatrixError("divisor matrix has zero determinant")
-    y = _gen_matmul(_gen_adjugate(q), x)
     out = []
     for row in y:
         orow = []
@@ -913,7 +910,7 @@ def smith_normal_form(
             if lc != 1:
                 row_scale(k, Fraction(1) / lc)
 
-    return PolyMatrix._new(t, var), PolyMatrix._new(s, var), PolyMatrix._new(u, var)
+    return PolyMatrix._new(t), PolyMatrix._new(s), PolyMatrix._new(u)
 
 
 class HSubmoduleBasis:
@@ -1035,6 +1032,3 @@ def hermite_reduce(
 
     return HSubmoduleBasis([pivots[p] for p in order], order, ncols)
 
-
-def hsubmodule_member(vec: Sequence[UniPoly], basis: HSubmoduleBasis) -> bool:
-    return basis.member(vec)

@@ -8,21 +8,18 @@ multi-line layout for matrices and prose for structured verdicts.
 from __future__ import annotations
 
 from .classify import Classification, ClosureResult, KvClosureResult
-from .conformal import ConformalElement
 from .operators import DifferentialSequence
-from .poly import PolyMatrix
-from .weyl import HSeqPair, WeylMatrix
+from .poly import _Matrix
+from .weyl import HSeqPair
 
 __all__ = [
     "render_classification",
     "render_closure",
-    "render_conformal",
     "render_diffseq",
     "render_hseq",
     "render_kv_result",
-    "render_polymatrix",
+    "render_matrix",
     "render_report",
-    "render_weyl_matrix",
 ]
 
 
@@ -35,29 +32,15 @@ def _grid(rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
-def render_conformal(a: ConformalElement) -> str:
-    return _grid(
-        [[str(a.entry(i, j)) for j in range(a.n)] for i in range(a.n)]
-    )
-
-
-def render_weyl_matrix(w: WeylMatrix) -> str:
-    return _grid(
-        [[str(w.entry(i, j)) for j in range(w.n)] for i in range(w.n)]
-    )
-
-
-def render_polymatrix(m: PolyMatrix) -> str:
-    return _grid(
-        [[str(m.entry(i, j)) for j in range(m.n)] for i in range(m.n)]
-    )
+def render_matrix(m: _Matrix) -> str:
+    return _grid([[str(e) for e in r] for r in m.rows])
 
 
 def render_diffseq(seq: DifferentialSequence) -> str:
     if not seq.coeffs:
         return f"zero differential sequence (N = {seq.n})"
     blocks = [
-        f"A_{s} =\n{render_polymatrix(m)}" for s, m in enumerate(seq.coeffs)
+        f"A_{s} =\n{render_matrix(m)}" for s, m in enumerate(seq.coeffs)
     ]
     return "\n".join(blocks)
 
@@ -88,7 +71,7 @@ def render_kv_result(r: KvClosureResult) -> str:
             f"directness: {r.directness} "
             f"(certified at v-degree bound {r.certified_at_bound})",
             "ideal matrix Q:",
-            render_polymatrix(r.ideal_q),
+            render_matrix(r.ideal_q),
         ]
     )
 
@@ -97,10 +80,10 @@ def render_classification(c: Classification) -> str:
     lines = [f"verdict: {c.verdict} (bound {c.bound})"]
     if c.witness is not None:
         lines.append(f"conjugating witness: alpha = {c.witness.alpha}, Q =")
-        lines.append(render_polymatrix(c.witness.q))
+        lines.append(render_matrix(c.witness.q))
     if c.ideal_q is not None:
         lines.append("left-ideal matrix Q:")
-        lines.append(render_polymatrix(c.ideal_q))
+        lines.append(render_matrix(c.ideal_q))
     if c.reason:
         lines.append(f"reason: {c.reason}")
     if c.alarm:

@@ -77,6 +77,11 @@ def rat_to_json(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+def _is_int(data: Any) -> bool:
+    """An integer field: JSON true/false decode to bool, a subclass of int."""
+    return isinstance(data, int) and not isinstance(data, bool)
+
+
 def rat_from_json(data: Any) -> Fraction:
     if isinstance(data, bool):
         raise ValueError("rational expected, got a boolean")
@@ -100,7 +105,7 @@ def unipoly_from_json(data: Any, var: str) -> UniPoly:
         if not isinstance(item, list) or len(item) != 2:
             raise ValueError(f"bad polynomial term {item!r}")
         d, c = item
-        if not isinstance(d, int) or d < 0:
+        if not _is_int(d) or d < 0:
             raise ValueError(f"bad degree {d!r}")
         coeffs[d] = coeffs.get(d, Fraction(0)) + rat_from_json(c)
     return UniPoly(coeffs, var)
@@ -118,7 +123,7 @@ def bipoly_from_json(data: Any) -> BiPoly:
         if not isinstance(item, list) or len(item) != 3:
             raise ValueError(f"bad polynomial term {item!r}")
         i, j, c = item
-        if not isinstance(i, int) or not isinstance(j, int) or i < 0 or j < 0:
+        if not _is_int(i) or not _is_int(j) or i < 0 or j < 0:
             raise ValueError(f"bad degrees in {item!r}")
         terms.append((i, j, rat_from_json(c)))
     return BiPoly(terms)
@@ -136,7 +141,7 @@ def weyl_from_json(data: Any) -> WeylElement:
         if not isinstance(item, list) or len(item) != 3:
             raise ValueError(f"bad operator term {item!r}")
         i, j, c = item
-        if not isinstance(i, int) or not isinstance(j, int) or i < 0 or j < 0:
+        if not _is_int(i) or not _is_int(j) or i < 0 or j < 0:
             raise ValueError(f"bad degrees in {item!r}")
         terms.append((i, j, rat_from_json(c)))
     return WeylElement(terms)
@@ -192,7 +197,7 @@ def conformal_from_json(data: Any) -> ConformalElement:
         raise ValueError('conformal element expected as {"N", "entries"}')
     rows = _square_rows(data["entries"], "conformal element")
     n = data.get("N", len(rows))
-    if n != len(rows):
+    if not _is_int(n) or n != len(rows):
         raise ValueError(f"size field {n} does not match {len(rows)} rows")
     return ConformalElement([[bipoly_from_json(e) for e in r] for r in rows])
 
@@ -217,11 +222,11 @@ def diffseq_from_json(data: Any) -> DifferentialSequence:
         raise ValueError("coefficient list expected")
     n = data.get("N")
     if not mats:
-        if not isinstance(n, int) or n < 1:
+        if not _is_int(n) or n < 1:
             raise ValueError("an empty sequence needs an explicit size field")
         return DifferentialSequence(n, ())
     coeffs = tuple(polymatrix_from_json(m, "p") for m in mats)
-    if n is not None and n != coeffs[0].n:
+    if n is not None and (not _is_int(n) or n != coeffs[0].n):
         raise ValueError(f"size field {n} does not match the matrices")
     return DifferentialSequence(coeffs[0].n, coeffs)
 
@@ -233,7 +238,7 @@ def sample_to_json(s: OperatorSample) -> dict:
 def sample_from_json(data: Any) -> OperatorSample:
     if not isinstance(data, dict) or "n" not in data or "op" not in data:
         raise ValueError('operator sample expected as {"n", "op"}')
-    if not isinstance(data["n"], int) or data["n"] < 0:
+    if not _is_int(data["n"]) or data["n"] < 0:
         raise ValueError(f"bad sample index {data['n']!r}")
     return OperatorSample(data["n"], weylmatrix_from_json(data["op"]))
 
@@ -286,7 +291,7 @@ def presentation_from_json(data: Any) -> SubalgebraPresentation:
         raise ValueError("generator list expected")
     v_bound = data.get("vDegBound", 4)
     iter_bound = data.get("iterBound", 12)
-    if not isinstance(v_bound, int) or not isinstance(iter_bound, int):
+    if not _is_int(v_bound) or not _is_int(iter_bound):
         raise ValueError("bounds must be integers")
     return SubalgebraPresentation(
         tuple(conformal_from_json(g) for g in gens),

@@ -43,7 +43,6 @@ from .conformal import (
     locality,
     locality_bound,
     nproduct,
-    nproduct_circ,
     nproducts,
     phi,
     phi_inv,
@@ -279,7 +278,7 @@ def _chk_shift_transport(ctx):
                 fails.append(f"size {n}: shift inverse failed to cancel")
             for k in range(ctx.n_max + 1):
                 cases += 1
-                if phi(ctx.prod(a, k, b)) != nproduct_circ(phi(a), k, phi(b)):
+                if phi(ctx.prod(a, k, b)) != nproduct(phi(a), k, phi(b), circ=True):
                     fails.append(f"size {n}: transport broke at n={k}")
     return cases, fails
 

@@ -22,8 +22,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DimensionMismatchError
-from .poly import Scalar, UniPoly, _gen_matmul, _pair_str, _pair_terms, _Sparse
+from .poly import Scalar, UniPoly, _Matrix, _pair_str, _pair_terms, _Sparse
 
 
 class WeylElement(_Sparse):
@@ -151,34 +150,20 @@ def weyl_endo(a: WeylElement, alpha: Scalar, h: UniPoly) -> WeylElement:
     return out
 
 
-class WeylMatrix:
-    """Square matrix over the Weyl algebra."""
+class WeylMatrix(_Matrix):
+    """Square matrix over the Weyl algebra.
 
-    __slots__ = ("n", "rows")
+    The entry ring is noncommutative, so only rational scalars multiply
+    directly; ``lscale`` and ``rscale`` multiply by an element on one side.
+    """
+
+    __slots__ = ()
 
     def __init__(self, rows: Sequence[Sequence[WeylElement | Scalar]]):
-        n = len(rows)
-        if any(len(r) != n for r in rows):
-            raise DimensionMismatchError("matrix must be square")
-        coerced = []
-        for r in rows:
-            row = []
-            for e in r:
-                if isinstance(e, WeylElement):
-                    row.append(e)
-                else:
-                    row.append(WeylElement.monomial(0, 0, e))
-            coerced.append(tuple(row))
-        self.n = n
-        self.rows = tuple(coerced)
+        def coerce(e):
+            return e if isinstance(e, WeylElement) else WeylElement.monomial(0, 0, e)
 
-    @classmethod
-    def _new(cls, rows: Sequence[Sequence[WeylElement]]) -> "WeylMatrix":
-        """Trusted builder: ``rows`` is square and holds WeylElement entries."""
-        out = object.__new__(cls)
-        out.n = len(rows)
-        out.rows = tuple(map(tuple, rows))
-        return out
+        super().__init__(rows, coerce)
 
     @classmethod
     def identity(cls, n: int) -> "WeylMatrix":
@@ -192,54 +177,8 @@ class WeylMatrix:
     def from_poly_matrix(cls, m, axis: str = "p") -> "WeylMatrix":
         """Lift a matrix of univariate polynomials along one generator."""
         return cls._new(
-            [
-                [WeylElement.from_poly(m.entry(i, j), axis) for j in range(m.n)]
-                for i in range(m.n)
-            ]
+            [[WeylElement.from_poly(e, axis) for e in r] for r in m.rows]
         )
-
-    def entry(self, i: int, j: int) -> WeylElement:
-        return self.rows[i][j]
-
-    def _require_same_size(self, other: "WeylMatrix") -> None:
-        if self.n != other.n:
-            raise DimensionMismatchError(f"sizes {self.n} and {other.n}")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WeylMatrix):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
-    def __add__(self, other: "WeylMatrix") -> "WeylMatrix":
-        self._require_same_size(other)
-        return WeylMatrix._new(
-            [[x + y for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)]
-        )
-
-    def __sub__(self, other: "WeylMatrix") -> "WeylMatrix":
-        self._require_same_size(other)
-        return WeylMatrix._new(
-            [[x - y for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)]
-        )
-
-    def __neg__(self) -> "WeylMatrix":
-        return self.map(WeylElement.__neg__)
-
-    def __mul__(self, other: "WeylMatrix | Scalar") -> "WeylMatrix":
-        if isinstance(other, WeylMatrix):
-            self._require_same_size(other)
-            return WeylMatrix._new(_gen_matmul(self.rows, other.rows))
-        if isinstance(other, (int, Fraction)):
-            return self.map(lambda e: e * other)
-        return NotImplemented
-
-    def __rmul__(self, other: Scalar) -> "WeylMatrix":
-        if isinstance(other, (int, Fraction)):
-            return self.__mul__(other)
-        return NotImplemented
 
     def lscale(self, w: WeylElement) -> "WeylMatrix":
         """Entrywise left multiplication by w (= (w*Id) * self)."""
@@ -248,22 +187,6 @@ class WeylMatrix:
     def rscale(self, w: WeylElement) -> "WeylMatrix":
         """Entrywise right multiplication by w."""
         return self.map(lambda e: weyl_mul(e, w))
-
-    def map(self, f) -> "WeylMatrix":
-        """Apply ``f`` entrywise; it must return a WeylElement."""
-        return WeylMatrix._new([[f(e) for e in r] for r in self.rows])
-
-    def transpose(self) -> "WeylMatrix":
-        return WeylMatrix._new(tuple(zip(*self.rows)))
-
-    def is_zero(self) -> bool:
-        return all(not e for r in self.rows for e in r)
-
-    def __str__(self) -> str:
-        return "[" + "; ".join(", ".join(str(e) for e in r) for r in self.rows) + "]"
-
-    def __repr__(self) -> str:
-        return f"WeylMatrix({self})"
 
 
 def q_valuation(a: "WeylElement | WeylMatrix") -> int | None:

@@ -14,7 +14,7 @@ import cend.cli
 from cend.cli import main
 from cend.conformal import ConformalElement, phi
 from cend.poly import BiPoly, PolyMatrix, UniPoly
-from cend.render import render_conformal
+from cend.render import render_matrix
 from cend.serialize import canonical_dumps, conformal_from_json, conformal_to_json
 
 V_ID1 = '{"N":1,"entries":[[[[0,1,"1"]]]]}'
@@ -68,7 +68,7 @@ class TestHappyPaths:
         status, out, _ = cli(["sigma", "--render"], payload)
         a = conformal_from_json(json.loads(V_ID1))
         assert status == 0
-        assert out == render_conformal(
+        assert out == render_matrix(
             ConformalElement([[BiPoly.v() - BiPoly.D()]])
         ) + "\n"
         assert not out.startswith("{")
@@ -194,6 +194,15 @@ class TestErrorPaths:
         status, _, err = cli(["sigma"], "")
         assert status == 2
         assert json.loads(err)["error"] == "MalformedInput"
+
+    def test_non_integer_bound_exits_two(self, cli):
+        gen = '{"N":1,"entries":[[[[0,1,"1"]]]]}'
+        for bounds in ('"vDegBound":true,"iterBound":3',
+                       '"vDegBound":2,"iterBound":3.0'):
+            payload = '{"generators":[%s],%s}' % (gen, bounds)
+            status, out, err = cli(["closure"], payload)
+            assert status == 2 and out == ""
+            assert json.loads(err)["error"] == "MalformedInput"
 
     def test_bad_side_exits_two(self, cli):
         payload = '{"x": %s, "Q": [[[[0, "1"]]]], "side": "up"}' % V_ID1

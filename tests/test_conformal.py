@@ -14,7 +14,6 @@ from cend.conformal import (
     locality,
     locality_bound,
     nproduct,
-    nproduct_circ,
     nproducts,
     nproduct_recursive,
     phi,
@@ -82,7 +81,7 @@ class TestNProductExamples:
         assert nproduct(x, 2, x).is_zero()
 
     def test_circ_example(self):
-        got = nproduct_circ(ce1(V * V), 1, ce1(BiPoly.const(1)))
+        got = nproduct(ce1(V * V), 1, ce1(BiPoly.const(1)), circ=True)
         assert got == ce1(2 * V + 2 * D)
 
     def test_size_mismatch(self):
@@ -100,6 +99,12 @@ class TestRecursionAgreement:
            st.integers(0, 4), st.booleans())
     @settings(max_examples=30, deadline=None)
     def test_closed_equals_recursive_2x2(self, a, b, n, circ):
+        assert nproduct(a, n, b, circ) == nproduct_recursive(a, n, b, circ)
+
+    @given(elements(n=3, max_terms=2), elements(n=3, max_terms=2),
+           st.integers(0, 4), st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_closed_equals_recursive_3x3(self, a, b, n, circ):
         assert nproduct(a, n, b, circ) == nproduct_recursive(a, n, b, circ)
 
 
@@ -239,7 +244,7 @@ class TestPhi:
     @given(elements(max_terms=2), elements(max_terms=2), st.integers(0, 4))
     @settings(max_examples=40, deadline=None)
     def test_transports_products(self, a, b, n):
-        assert phi(nproduct(a, n, b)) == nproduct_circ(phi(a), n, phi(b))
+        assert phi(nproduct(a, n, b)) == nproduct(phi(a), n, phi(b), circ=True)
 
 
 class TestSigma:

@@ -91,9 +91,13 @@ class TestAct:
         b = ce1(D * V)
         assert act(WeylMatrix.identity(1), b) == b
 
-    @given(elements(max_terms=2), elements(max_terms=2), st.integers(0, 4))
+    @given(st.integers(1, 3).flatmap(
+               lambda k: st.tuples(elements(n=k, max_terms=2),
+                                   elements(n=k, max_terms=2))),
+           st.integers(0, 4))
     @settings(max_examples=50, deadline=None)
-    def test_symbol_action_is_nproduct(self, a, b, n):
+    def test_symbol_action_is_nproduct(self, pair, n):
+        a, b = pair
         assert act(symbol(a, n), b) == nproduct(a, n, b)
 
     @given(elements(n=2, max_terms=1), elements(n=2, max_terms=1),

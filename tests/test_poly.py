@@ -17,12 +17,12 @@ from cend.poly import (
     UniPoly,
     divide_right_exact,
     hermite_reduce,
-    hsubmodule_member,
     poly_ext_gcd,
     rat,
     smith_normal_form,
     unimodular_inverse,
 )
+from cend.weyl import WeylElement, WeylMatrix
 
 
 def up(pairs, var="x"):
@@ -138,7 +138,7 @@ def assert_well_formed(p):
 def assert_matrix_well_formed(m):
     """Rows are tuples of well-formed entries, and the public constructor
     rebuilds an equal matrix with an equal hash."""
-    rows = m.entries if isinstance(m, ConformalElement) else m.rows
+    rows = m.rows
     assert type(rows) is tuple and len(rows) == m.n
     for r in rows:
         assert type(r) is tuple and len(r) == m.n
@@ -205,11 +205,47 @@ class TestKernelInvariant:
             (lambda: BiPoly([(1, 0, None)]), TypeError),
             (lambda: PolyMatrix([[V, UniPoly.gen("x")], [V, V]]), ValueError),
             (lambda: ConformalElement([[VV, VV]]), DimensionMismatchError),
+            pytest.param(
+                lambda: PolyMatrix([], "v"), DimensionMismatchError, id="empty-poly"
+            ),
+            pytest.param(
+                lambda: ConformalElement([]), DimensionMismatchError, id="empty-conf"
+            ),
         ],
     )
     def test_public_constructors_reject_bad_input(self, build, error):
         with pytest.raises(error):
             build()
+
+    @pytest.mark.parametrize(
+        "op,expected",
+        [
+            pytest.param(lambda: WeylMatrix.identity(2) * WeylElement.p(),
+                         TypeError, id="weylmatrix-times-element"),
+            pytest.param(lambda: WeylElement.p() * WeylMatrix.identity(2),
+                         TypeError, id="element-times-weylmatrix"),
+            pytest.param(lambda: PolyMatrix.identity(2, "v")
+                         * ConformalElement.identity(2),
+                         TypeError, id="polymatrix-times-conformal"),
+            pytest.param(lambda: PolyMatrix.identity(2, "v")
+                         + PolyMatrix.identity(2, "D"),
+                         ValueError, id="mixed-tags-add"),
+            pytest.param(lambda: PolyMatrix.identity(2, "v")
+                         != PolyMatrix.identity(2, "D"),
+                         True, id="mixed-tags-unequal"),
+            pytest.param(lambda: ConformalElement.identity(1)
+                         != PolyMatrix.identity(1, "v"),
+                         True, id="conformal-vs-polymatrix-unequal"),
+        ],
+    )
+    def test_matrix_classes_stay_apart(self, op, expected):
+        """The shared matrix base widens no operation across classes or
+        variable tags."""
+        if isinstance(expected, type):
+            with pytest.raises(expected):
+                op()
+        else:
+            assert op() is expected
 
 
 DD = BiPoly.D()
@@ -415,8 +451,8 @@ class TestHermite:
 
     def test_membership(self):
         basis = hermite_reduce([[D, DZ], [DZ, D1]])
-        assert hsubmodule_member([D * D, UniPoly.const(5, "D")], basis)
-        assert not hsubmodule_member([D1, DZ], basis)
+        assert basis.member([D * D, UniPoly.const(5, "D")])
+        assert not basis.member([D1, DZ])
 
     def test_reduction_above_pivot(self):
         # second pivot D^2 should reduce the first row's tail below degree 2

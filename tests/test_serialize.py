@@ -88,7 +88,9 @@ class TestPolynomials:
         )
 
     @pytest.mark.parametrize(
-        "bad", [{}, [[1]], [[1, "1", "2"]], [[-1, "1"]], [["x", "1"]]]
+        "bad",
+        [{}, [[1]], [[1, "1", "2"]], [[-1, "1"]], [["x", "1"]], [[True, "1"]],
+         [[1.0, "1"]]],
     )
     def test_unipoly_rejects(self, bad):
         with pytest.raises(ValueError):
@@ -100,7 +102,11 @@ class TestPolynomials:
             f = rand_bipoly(rng)
             assert bipoly_from_json(bipoly_to_json(f)) == f
 
-    @pytest.mark.parametrize("bad", [{}, [[0, 0]], [[0, -1, "1"]]])
+    @pytest.mark.parametrize(
+        "bad",
+        [{}, [[0, 0]], [[0, -1, "1"]], [[True, 0, "1"]], [[0, False, "1"]],
+         [[1.0, 0, "1"]]],
+    )
     def test_bipoly_rejects(self, bad):
         with pytest.raises(ValueError):
             bipoly_from_json(bad)
@@ -112,8 +118,9 @@ class TestPolynomials:
             assert weyl_from_json(weyl_to_json(w)) == w
 
     def test_weyl_rejects(self):
-        with pytest.raises(ValueError):
-            weyl_from_json([[0, 0]])
+        for bad in ([[0, 0]], [[True, 0, "1"]], [[0, 1.0, "1"]]):
+            with pytest.raises(ValueError):
+                weyl_from_json(bad)
 
 
 class TestMatrices:
@@ -148,10 +155,11 @@ class TestMatrices:
         assert conformal_from_json(data) == ConformalElement([[v]])
 
     def test_conformal_rejects_size_mismatch(self):
-        data = conformal_to_json(ConformalElement.identity(2))
-        data["N"] = 3
-        with pytest.raises(ValueError):
-            conformal_from_json(data)
+        for n, size in ((2, 3), (1, True), (1, 1.0)):
+            data = conformal_to_json(ConformalElement.identity(n))
+            data["N"] = size
+            with pytest.raises(ValueError):
+                conformal_from_json(data)
 
 
 class TestOperatorValues:
@@ -165,22 +173,25 @@ class TestOperatorValues:
         assert diffseq_from_json({"N": 2, "coeffs": []}) == DifferentialSequence(
             2, ()
         )
-        with pytest.raises(ValueError):
-            diffseq_from_json({"coeffs": []})
+        for bad in ({"coeffs": []}, {"N": True, "coeffs": []},
+                    {"N": 2.0, "coeffs": []}):
+            with pytest.raises(ValueError):
+                diffseq_from_json(bad)
 
     def test_diffseq_rejects_size_mismatch(self):
-        seq = element_sequence(ConformalElement.identity(2))
-        data = diffseq_to_json(seq)
-        data["N"] = 1
-        with pytest.raises(ValueError):
-            diffseq_from_json(data)
+        for n, size in ((2, 1), (1, True), (1, 1.0)):
+            data = diffseq_to_json(element_sequence(ConformalElement.identity(n)))
+            data["N"] = size
+            with pytest.raises(ValueError):
+                diffseq_from_json(data)
 
     def test_sample_roundtrip(self):
         rng = random.Random(7)
         s = OperatorSample(2, rand_weyl_matrix(rng, 2))
         assert sample_from_json(sample_to_json(s)) == s
-        with pytest.raises(ValueError):
-            sample_from_json({"n": -1, "op": [[[]]]})
+        for n in (-1, True, 1.0):
+            with pytest.raises(ValueError):
+                sample_from_json({"n": n, "op": [[[]]]})
 
     def test_hseq_shape(self):
         pair = h_sequences(UniPoly.gen("p"), 3)

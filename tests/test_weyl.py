@@ -96,6 +96,9 @@ class TestKernelInvariant:
             (lambda: WeylElement([(0, 1, "q")]), ValueError),
             (lambda: WeylElement([(0, 1, 1j)]), TypeError),
             (lambda: WeylMatrix([[P, Q]]), DimensionMismatchError),
+            pytest.param(
+                lambda: WeylMatrix([]), DimensionMismatchError, id="empty-matrix"
+            ),
         ],
     )
     def test_public_constructors_reject_bad_input(self, build, error):
