@@ -36,6 +36,7 @@ from .poly import (
     HSubmoduleBasis,
     PolyMatrix,
     UniPoly,
+    _right_divider,
     divide_right_exact,
     hermite_reduce,
     rat,
@@ -113,14 +114,16 @@ def compose_autom(t1: AutomorphismSpec, t2: AutomorphismSpec) -> AutomorphismSpe
     )
 
 
+def _lift(q: PolyMatrix) -> ConformalElement:
+    """A matrix over ``k[x]`` read as a D-free element in ``v``."""
+    return ConformalElement._new([[BiPoly.from_uni(e, "v") for e in r] for r in q.rows])
+
+
 def _matrix_at(q: PolyMatrix, t: BiPoly) -> ConformalElement:
     """A matrix over ``k[x]`` evaluated entrywise at a bivariate argument."""
-    return ConformalElement._new(
-        [[BiPoly.from_uni(e, "v").subst_v(t) for e in r] for r in q.rows]
-    )
+    return _lift(q).map(lambda e: e.subst_v(t))
 
 
-_V = BiPoly.v()
 _V_MINUS_D = BiPoly.v() - BiPoly.D()
 
 
@@ -135,7 +138,7 @@ def apply_autom(a: ConformalElement, t: AutomorphismSpec) -> ConformalElement:
         raise ValueError("subalgebra-level transforms require h = 0")
     if a.n != t.n:
         raise DimensionMismatchError(f"sizes {a.n} and {t.n}")
-    q_inv = _matrix_at(unimodular_inverse(t.q), _V)
+    q_inv = _lift(unimodular_inverse(t.q))
     q_right = _matrix_at(t.q, _V_MINUS_D)
     shifted = a.map(lambda e: e.shift_v(t.alpha))
     return q_inv * shifted * q_right
@@ -165,8 +168,14 @@ def left_ideal_member(x: ConformalElement, q: PolyMatrix) -> bool:
     """
     if x.n != q.n:
         raise DimensionMismatchError(f"sizes {x.n} and {q.n}")
-    divisor = _matrix_at(q, _V_MINUS_D)
-    return divide_right_exact(x.rows, divisor.rows) is not None
+    return _left_ideal_test(q)(x)
+
+
+def _left_ideal_test(q: PolyMatrix):
+    """``left_ideal_member(., q)`` with ``Q(v - D)``, its determinant and
+    adjugate built once; the returned test takes elements of Q's size."""
+    divide = _right_divider(_matrix_at(q, _V_MINUS_D).rows)
+    return lambda x: divide(x.rows) is not None
 
 
 def right_ideal_member(x: ConformalElement, p: PolyMatrix) -> bool:
@@ -174,7 +183,7 @@ def right_ideal_member(x: ConformalElement, p: PolyMatrix) -> bool:
     if x.n != p.n:
         raise DimensionMismatchError(f"sizes {x.n} and {p.n}")
     # the entries commute, so P * M = X exactly when M^T * P^T = X^T
-    divisor = _matrix_at(p, _V)
+    divisor = _lift(p)
     return divide_right_exact(x.transpose().rows, divisor.transpose().rows) is not None
 
 
@@ -201,9 +210,10 @@ def canonicalize_Q(
     spec = AutomorphismSpec(Fraction(0), u_mat)
     if not q.det().is_zero():
         gen = _matrix_at(q, _V_MINUS_D)
+        member = _left_ideal_test(diag)
         for m in _ambient_samples(q.n):
             x = m * gen
-            if not left_ideal_member(apply_autom(x, spec), diag):
+            if not member(apply_autom(x, spec)):
                 raise InvariantError(
                     "canonicalization failed to transport a sampled member"
                 )
@@ -482,9 +492,10 @@ def kv_closure(
     # and so must its products with a sample of ambient elements: both checks
     # are exact statements about the full algebra, not the truncation.
     samples = _ambient_samples(n)
+    member = _left_ideal_test(q_full)
     for elems in layer_elems:
         for x in elems:
-            if not left_ideal_member(x, q_full):
+            if not member(x):
                 raise BoundTooSmallError(
                     "spanned element escapes the extracted ideal"
                 )
@@ -493,7 +504,7 @@ def kv_closure(
             for prod in nproducts(a, x):
                 if prod.is_zero():
                     continue
-                if not left_ideal_member(prod, q_full):
+                if not member(prod):
                     raise BoundTooSmallError(
                         "sampled product escapes the extracted ideal"
                     )

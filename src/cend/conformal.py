@@ -16,16 +16,24 @@ Both satisfy the same two-sided sesquilinearity laws in D:
 
 together with finiteness: for fixed a, b the products vanish for all large
 n. The recursion defined by those laws (with the D-free base case) is
-implemented verbatim in ``nproduct_recursive``.  The closed form of that
-recursion is evaluated by one sweep: ``nproducts`` returns the whole table
-``a (0) b, ..., a (L-1) b`` up to the locality L, and ``nproduct`` is the same
-sweep at a single index.  The rest of the package calls these two.
+implemented verbatim in ``nproduct_recursive``.  Its closed form is a sum
+over monomials: writing a = sum D^i v^p A_ip and b = sum D^j v^q B_jq with
+rational matrices A_ip, B_jq, each product is a weighted sum of the
+matrix products A_ip B_jq, for m = n - i - t,
+
+    a (n) b   = sum (-1)^i C(j,t) n!/m! (q)_m D^(j-t) v^(p+q-m) A_ip B_jq,
+    a (n)' b  = sum (-1)^i C(j,t) n!/m! (p)_m C(p-m,s)
+                    D^(j-t+s) v^(p+q-m-s) A_ip B_jq
+
+(default and circ; (x)_m is the falling factorial).  ``nproducts`` evaluates
+it for the whole table ``a (0) b, ..., a (L-1) b`` up to the locality L, and
+``nproduct`` at a single index.  The rest of the package calls these two.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Mapping, Sequence
 
 from .errors import DimensionMismatchError
@@ -179,12 +187,60 @@ def _falling(n: int, k: int) -> int:
     return out
 
 
-def _ladder(mat: PolyMatrix) -> list[PolyMatrix]:
-    """``mat`` and its successive v-derivatives, up to the last nonzero one."""
-    out = []
-    while not mat.is_zero():
-        out.append(mat)
-        mat = _dmat(mat, 1)
+def _monomial_matrices(x: ConformalElement) -> tuple[dict, int]:
+    """``x`` as ``{D-degree: {v-degree: {row: [(col, numerator)]}}}``.
+
+    Absent entries are zero.  The numerators are ints over the common
+    denominator returned with them.
+    """
+    den = 1
+    for row in x.rows:
+        for e in row:
+            for a in e._c.values():
+                den = lcm(den, a.denominator)
+    out: dict = {}
+    for r, row in enumerate(x.rows):
+        for c, e in enumerate(row):
+            for (i, p), a in e._c.items():
+                mat = out.setdefault(i, {}).setdefault(p, {})
+                mat.setdefault(r, []).append((c, a.numerator * (den // a.denominator)))
+    return out, den
+
+
+def _sparse_matmul(a: dict, b: dict) -> dict:
+    """Product of two monomial matrices as ``{(row, col): int}``."""
+    out: dict = {}
+    for r, row in a.items():
+        for k, x in row:
+            for c, y in b.get(k, ()):
+                out[r, c] = out.get((r, c), 0) + x * y
+    return out
+
+
+def _fold(prods: dict, m: int, circ: bool) -> dict:
+    """The base product of order ``m`` as ``{(row, col, D-deg, v-deg): int}``.
+
+    ``prods`` maps ``(p, q)`` to ``A_p B_q``; the default product weighs it
+    by ``(q)_m`` at ``v^(p+q-m)``, the circ product by ``(p)_m C(p-m, s)``
+    at ``D^s v^(p+q-m-s)`` for each ``s <= p - m``.
+    """
+    out: dict = {}
+    for (p, q), mat in prods.items():
+        if circ:
+            if p < m:
+                continue
+            head = _falling(p, m)
+            terms = [
+                (s, p + q - m - s, head * comb(p - m, s)) for s in range(p - m + 1)
+            ]
+        else:
+            if q < m:
+                continue
+            terms = [(0, p + q - m, _falling(q, m))]
+        for s, e, w in terms:
+            for (r, c), x in mat.items():
+                key = (r, c, s, e)
+                out[key] = out.get(key, 0) + w * x
     return out
 
 
@@ -196,49 +252,61 @@ def _extend_sesquilinear(
     This is the unique extension satisfying the two sesquilinearity laws:
     each D peeled off the left factor contributes a factor -n and lowers n,
     each D on the right Leibniz-splits into an outer D and an n-lowering.
-    With a = sum_i D^i A_i and b = sum_j D^j B_j that gives
+    With a = sum D^i v^p A_ip and b = sum D^j v^q B_jq, where A_ip and B_jq
+    are rational matrices, that gives, for m = n - i - t,
 
-        a (n) b = sum_{i,j,t} (-1)^i C(j,t) n!/m! D^(j-t) base(A_i, m, B_j),
+        a (n) b = sum (-1)^i C(j,t) n!/m! (q)_m D^(j-t) v^(p+q-m) A_ip B_jq
 
-    where m = n - i - t.  The base product of order m differentiates B_j
-    (``circ=False``) or A_i (``circ=True``) m times, so it vanishes once m
-    passes that factor's v-degree.  The sweep visits each nonzero
-    (i, j, t, m) once and computes each base product once for all n.
+    for the default products and
+
+        a (n) b = sum (-1)^i C(j,t) n!/m! (p)_m C(p-m,s)
+                      D^(j-t+s) v^(p+q-m-s) A_ip B_jq
+
+    (0 <= s <= p - m) for the circ products, with (x)_m the falling
+    factorial.  For each pair (i, j) the sweep multiplies every pair of
+    monomial matrices once, folds the products into one base product per
+    m, and scatters each base product into every n it reaches.  All
+    arithmetic is on integer numerators over the factors' common
+    denominators; each result coefficient becomes a Fraction once.
     """
-    accs: list[dict[int, PolyMatrix]] = [{} for _ in ns]
-    da, db = a.d_coeffs(), b.d_coeffs()
-    ladders = {k: _ladder(x) for k, x in (da if circ else db).items()}
-    for i, ai in da.items():
-        for j, bj in db.items():
-            ladder = ladders[i if circ else j]
-            prods = None  # circ: A_i^(k) B_j, shared by all m + s = k
-            for m in range(len(ladder)):
-                ts = [t for t in range(j + 1) if i + t + m in ns]
-                if not ts:
-                    continue
-                if not circ:
-                    base = {0: ai * ladder[m]}
-                else:
-                    if prods is None:
-                        prods = [der * bj for der in ladder]
-                    base = {
-                        s: prods[m + s] * Fraction(1, factorial(s))
-                        for s in range(len(ladder) - m)
-                    }
+    ma, den_a = _monomial_matrices(a)
+    mb, den_b = _monomial_matrices(b)
+    accs: list[dict] = [{} for _ in ns]
+    for i, ai in ma.items():
+        sign = -1 if i % 2 else 1
+        for j, bj in mb.items():
+            # the base product of order m vanishes past the v-degree of the
+            # factor it differentiates; n = i + t + m must lie in ns
+            top = max(ai) if circ else max(bj)
+            ms = range(max(ns.start - i - j, 0), min(top + 1, ns.stop - i))
+            if not ms:
+                continue
+            prods = {
+                (p, q): _sparse_matmul(ap, bq)
+                for p, ap in ai.items()
+                for q, bq in bj.items()
+                if (p if circ else q) >= ms.start
+            }
+            for m in ms:
+                base = _fold(prods, m, circ)
+                ts = range(max(ns.start - i - m, 0), min(j, ns.stop - 1 - i - m) + 1)
                 for t in ts:
                     n = i + t + m
-                    c = Fraction(comb(j, t) * _falling(n, i + t))
-                    if i % 2:
-                        c = -c
+                    w = sign * comb(j, t) * _falling(n, i + t)
+                    shift = j - t
                     acc = accs[n - ns.start]
-                    for s, mat in base.items():
-                        slot = j - t + s
-                        term = mat * c
-                        if slot in acc:
-                            acc[slot] = acc[slot] + term
-                        else:
-                            acc[slot] = term
-    return [ConformalElement.from_d_coeffs(acc, a.n) for acc in accs]
+                    for (r, c, s, e), x in base.items():
+                        key = (r, c, s + shift, e)
+                        acc[key] = acc.get(key, 0) + w * x
+    den = den_a * den_b
+    out = []
+    for acc in accs:
+        cells: list[list[dict]] = [[{} for _ in range(a.n)] for _ in range(a.n)]
+        for (r, c, d, e), x in acc.items():
+            if x:
+                cells[r][c][d, e] = Fraction(x, den)
+        out.append(ConformalElement._new([list(map(BiPoly._new, r)) for r in cells]))
+    return out
 
 
 def nproduct(

@@ -268,10 +268,6 @@ class _SpanBuilder:
     def __init__(self):
         self.rows: dict[tuple[int, int], Vector] = {}
 
-    @staticmethod
-    def _lead(vec: Vector) -> tuple[int, int] | None:
-        return max(vec) if vec else None
-
     def reduce(self, vec: Vector) -> Vector:
         vec = dict(vec)
         while vec:

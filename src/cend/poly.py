@@ -213,7 +213,7 @@ class UniPoly(_Sparse):
 
     @classmethod
     def zero(cls, var: str) -> "UniPoly":
-        return cls((), var)
+        return cls._new({}, var)
 
     @classmethod
     def const(cls, a: Scalar, var: str) -> "UniPoly":
@@ -801,20 +801,33 @@ def divide_right_exact(
     """
     if len(x) != len(q):
         raise DimensionMismatchError(f"sizes {len(x)} and {len(q)}")
+    return _right_divider(q)(x)
+
+
+def _right_divider(q: Sequence[Sequence]):
+    """``divide_right_exact`` by a fixed Q, with det and adjugate built once.
+
+    The returned function takes X of Q's size.  Raises SingularMatrixError
+    when det Q = 0.
+    """
     d = _gen_det(q)
     if not d:
         raise SingularMatrixError("divisor matrix has zero determinant")
-    y = _gen_matmul(x, _gen_adjugate(q))
-    out = []
-    for row in y:
-        orow = []
-        for e in row:
-            m = e.exact_div(d)
-            if m is None:
-                return None
-            orow.append(m)
-        out.append(orow)
-    return out
+    adj = _gen_adjugate(q)
+
+    def divide(x: Sequence[Sequence]) -> list[list] | None:
+        out = []
+        for row in _gen_matmul(x, adj):
+            orow = []
+            for e in row:
+                m = e.exact_div(d)
+                if m is None:
+                    return None
+                orow.append(m)
+            out.append(orow)
+        return out
+
+    return divide
 
 
 def smith_normal_form(

@@ -377,12 +377,16 @@ class TestCanonicalizeQ:
     # A failed re-check is a bug, so it must raise a typed error that
     # survives ``python -O`` (a bare assert would not).
     def test_failed_transport_raises_a_typed_error(self, monkeypatch):
-        monkeypatch.setattr(cend.classify, "left_ideal_member", lambda x, q: False)
+        monkeypatch.setattr(
+            cend.classify, "_left_ideal_test", lambda q: lambda x: False
+        )
         with pytest.raises(InvariantError):
             canonicalize_Q(PolyMatrix([[v]], "v"))
 
     def test_verify_reports_a_failed_transport(self, monkeypatch):
-        monkeypatch.setattr(cend.classify, "left_ideal_member", lambda x, q: False)
+        monkeypatch.setattr(
+            cend.classify, "_left_ideal_test", lambda q: lambda x: False
+        )
         report = verify_suite(seed=1, suite="ideals", sizes=[1])
         (entry,) = [c for c in report["checks"] if c["tag"] == "canonical-diagonal-transport"]
         assert entry["failures"] == entry["cases"] > 0

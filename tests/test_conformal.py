@@ -32,6 +32,13 @@ def ce1(f: BiPoly) -> ConformalElement:
     return ConformalElement([[f]])
 
 
+# integers and rationals with small denominators, so that the kernel's
+# common-denominator arithmetic is exercised
+COEFFICIENTS = st.one_of(
+    st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4)
+)
+
+
 @st.composite
 def elements(draw, n=1, max_dd=2, max_dv=2, max_terms=3):
     rows = []
@@ -42,7 +49,7 @@ def elements(draw, n=1, max_dd=2, max_dv=2, max_terms=3):
             for _ in range(draw(st.integers(0, max_terms))):
                 i = draw(st.integers(0, max_dd))
                 j = draw(st.integers(0, max_dv))
-                coeffs[(i, j)] = draw(st.integers(-3, 3))
+                coeffs[(i, j)] = draw(COEFFICIENTS)
             row.append(BiPoly(coeffs))
         rows.append(row)
     return ConformalElement(rows)
@@ -172,7 +179,59 @@ class TestLocality:
         assert locality(z, ce1(V)) == 0
 
 
+def unit(n: int, i: int, j: int, f: BiPoly = BiPoly.const(1)) -> ConformalElement:
+    return ConformalElement.single(n, i, j, f)
+
+
+def recursive_table(a, b, circ):
+    """``nproducts`` by the defining recursion, trimmed the same way."""
+    out = [
+        nproduct_recursive(a, k, b, circ)
+        for k in range(locality_bound(a, b) + 2)
+    ]
+    while out and out[-1].is_zero():
+        out.pop()
+    return tuple(out)
+
+
+HALF = Fraction(1, 2)
+PURE_D = ConformalElement([[D * D, D * HALF], [BiPoly.zero(), D * -3]])
+PURE_V = ConformalElement([[V, BiPoly.zero()], [V * V * Fraction(1, 3), V * 2]])
+# v-degree 3 on the left: the circ products reach D^s/s! with s = 3
+LEFT_V3 = ConformalElement(
+    [[V ** 3, D * V ** 3 * HALF], [BiPoly.zero(), V - D]]
+)
+RIGHT_MIXED = ConformalElement(
+    [[D * V, BiPoly.const(1)], [D * D * Fraction(-2, 3), V * V]]
+)
+TABLE_CASES = {
+    **{
+        f"unit{i}{j}-unit{k}{l}": (unit(2, i, j), unit(2, k, l))
+        for i, j, k, l in [(0, 1, 1, 0), (1, 0, 0, 1), (0, 0, 0, 1), (1, 1, 0, 0)]
+    },
+    "unit-times-v2-unit": (unit(2, 0, 1), unit(2, 1, 0, V * V)),
+    "pureD-pureD": (PURE_D, PURE_D),
+    "pureD-pureV": (PURE_D, PURE_V),
+    "pureV-pureD": (PURE_V, PURE_D),
+    "pureV-pureV": (PURE_V, PURE_V),
+    "leftV3-mixed": (LEFT_V3, RIGHT_MIXED),
+    "leftV3-pureD": (LEFT_V3, PURE_D),
+    "leftV3-unit": (LEFT_V3, unit(2, 0, 0)),
+}
+
+
 class TestProductTable:
+    @pytest.mark.parametrize("circ", [False, True], ids=["default", "circ"])
+    @pytest.mark.parametrize("case", sorted(TABLE_CASES))
+    def test_table_matches_the_recursion(self, case, circ):
+        a, b = TABLE_CASES[case]
+        assert nproducts(a, b, circ) == recursive_table(a, b, circ)
+
+    def test_circ_reaches_the_third_power_of_d(self):
+        # v^3 (0)_circ 1 = sum_s D^s/s! (v^3)^(s) = v^3 + 3Dv^2 + 3D^2 v + D^3
+        got = nproducts(LEFT_V3, unit(2, 0, 0), circ=True)[0]
+        assert got.entry(0, 0) == V ** 3 + D * V * V * 3 + D * D * V * 3 + D ** 3
+
     @given(same_size_pairs(), st.booleans())
     @settings(max_examples=40, deadline=None)
     def test_table_agrees_with_single_products(self, pair, circ):

@@ -1,8 +1,11 @@
-"""Every package module uses each name it imports.
+"""Every package module uses each name it imports, and the package calls
+each private function it defines.
 
-``__init__.py`` is skipped: it imports names only to re-export them.  A name
-counts as used when it is read as code; one that appears only inside a
-quoted annotation does not.
+``__init__.py`` is skipped by the import check: it imports names only to
+re-export them.  A name counts as used when it is read as code; one that
+appears only inside a quoted annotation does not.  A private function or
+method counts as called when the package reads its name anywhere, as a
+variable or as an attribute.
 """
 
 import ast
@@ -37,3 +40,40 @@ def test_module_uses_every_import(path):
         if name not in used
     ]
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    """Every name read as a variable or looked up as an attribute."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def _private_defs(tree: ast.Module):
+    """(qualified name, name, line) of each private module-level function
+    and each private method of a module-level class; dunders are public."""
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            defs = [(f"{node.name}.", d) for d in node.body if isinstance(d, funcs)]
+        else:
+            defs = [("", node)] if isinstance(node, funcs) else []
+        for owner, d in defs:
+            if d.name.startswith("_") and not d.name.startswith("__"):
+                yield owner + d.name, d.name, d.lineno
+
+
+def test_package_uses_every_private_function():
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    used = set().union(*map(_read_names, trees.values()))
+    unused = [
+        f"{module}: {qual} (line {line})"
+        for module, tree in trees.items()
+        for qual, name, line in _private_defs(tree)
+        if name not in used
+    ]
+    assert not unused, f"private functions nothing in the package calls: {unused}"
