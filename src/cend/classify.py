@@ -654,12 +654,12 @@ def classify_irreducible(
     density = orbit_density_check(
         list(pres.generators), deg_bound=deg_bound, n_bound=n_bound
     )
-    if density["verdict"] != "Dense":
+    if density.verdict != "Dense":
         return Classification(
             verdict="Unknown",
             bound=bound,
             reason="irreducibility precondition not established: "
-            + density.get("reason", "module density unknown"),
+            + density.reason,
         )
 
     closure = subalgebra_closure(pres)

@@ -60,6 +60,7 @@ from .serialize import (
     closure_to_json,
     conformal_from_json,
     conformal_to_json,
+    density_to_json,
     diffseq_from_json,
     diffseq_to_json,
     hseq_to_json,
@@ -223,7 +224,14 @@ def _cmd_hseq(args, payload):
         return hseq_to_json(pair), render_hseq(pair), 0
     if action == "identities":
         got = verify_h_identities(h, args.n)
-        return got, None, 0 if got["ok"] else 1
+        obj = {
+            "h": str(h),
+            "k_max": args.n,
+            "cases": got.cases,
+            "failures": list(got.failures),
+            "ok": got.ok,
+        }
+        return obj, None, 0 if got.ok else 1
     if action == "rebase":
         coeffs = _field(payload, "coeffs")
         if not isinstance(coeffs, list):
@@ -273,18 +281,8 @@ def _cmd_density(args, payload):
     got = orbit_density_check(
         [conformal_from_json(g) for g in gens], args.deg_bound, args.n
     )
-    obj = {"verdict": got["verdict"]}
-    if "c" in got:
-        obj["c"] = got["c"]
-    if "deg_bound" in got:
-        obj["degBound"] = got["deg_bound"]
-        obj["nBound"] = got["n_bound"]
-    if "reason" in got:
-        obj["reason"] = got["reason"]
-    text = got["verdict"] + (
-        f" ({got['reason']})" if "reason" in got else ""
-    )
-    return obj, text, 0
+    text = got.verdict + (f" ({got.reason})" if got.reason else "")
+    return density_to_json(got), text, 0
 
 
 _HANDLERS = {

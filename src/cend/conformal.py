@@ -36,7 +36,7 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 from typing import Mapping, Sequence
 
-from .errors import DimensionMismatchError
+from .errors import CheckResult, DimensionMismatchError
 from .poly import BiPoly, PolyMatrix, Scalar, UniPoly, _Matrix
 
 
@@ -488,13 +488,13 @@ def check_associativity(
     n_max: int,
     m_max: int,
     circ: bool = False,
-) -> dict:
+) -> CheckResult:
     """Check both rewriting identities of the product family:
 
       (a(n) b)(m) c = sum_s (-1)^s C(n,s) a(n-s) (b(m+s) c)
       a(n) (b(m) c) = sum_s C(n,s) (a(n-s) b)(m+s) c
 
-    for all n <= n_max, m <= m_max. Returns {ok, cases, failures}.
+    for all n <= n_max, m <= m_max.
     """
     failures = []
     cases = 0
@@ -509,15 +509,15 @@ def check_associativity(
                 t = t * comb(n, s)
                 rhs = rhs + (-t if s % 2 else t)
             if lhs != rhs:
-                failures.append({"identity": "left-expansion", "n": n, "m": m})
+                failures.append(f"left-expansion at n={n}, m={m}")
             lhs = nproduct(a, n, nproduct(b, m, c, circ), circ)
             rhs = zero
             for s in range(n + 1):
                 t = nproduct(nproduct(a, n - s, b, circ), m + s, c, circ)
                 rhs = rhs + t * comb(n, s)
             if lhs != rhs:
-                failures.append({"identity": "right-expansion", "n": n, "m": m})
-    return {"cases": cases, "failures": failures, "ok": not failures}
+                failures.append(f"right-expansion at n={n}, m={m}")
+    return CheckResult(cases, tuple(failures))
 
 
 def check_lie(
@@ -526,7 +526,7 @@ def check_lie(
     c: ConformalElement,
     n_max: int,
     m_max: int,
-) -> dict:
+) -> CheckResult:
     """Check skew-symmetry and the Jacobi-type expansion for the bracket."""
     failures = []
     cases = 0
@@ -553,7 +553,7 @@ def check_lie(
             rhs = rhs + t
             d_pow = d_pow.d_mul()
         if lhs != rhs:
-            failures.append({"identity": "skew", "n": n})
+            failures.append(f"skew at n={n}")
     for n in range(n_max + 1):
         for m in range(m_max + 1):
             cases += 1
@@ -562,5 +562,5 @@ def check_lie(
             for s in range(n + 1):
                 rhs = rhs + br(br(a, n - s, b), m + s, c) * comb(n, s)
             if lhs != rhs:
-                failures.append({"identity": "jacobi", "n": n, "m": m})
-    return {"cases": cases, "failures": failures, "ok": not failures}
+                failures.append(f"jacobi at n={n}, m={m}")
+    return CheckResult(cases, tuple(failures))

@@ -1,9 +1,25 @@
-"""Exceptions shared across the package.
+"""Exceptions and the check result shared across the package.
 
-Every domain failure raises one of these; the CLI maps them to exit code 1
-with a JSON error object on stderr, while malformed input surfaces as exit
-code 2 before any of them is reached.
+Every domain failure raises one of these exceptions; the CLI maps them to
+exit code 1 with a JSON error object on stderr, while malformed input
+surfaces as exit code 2 before any of them is reached.  A bounded identity
+check that runs to the end returns a :class:`CheckResult` instead.
 """
+
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    """Outcome of a bounded identity check: the number of cases evaluated
+    and one description per failed case, such as ``"skew at n=0"``."""
+
+    cases: int
+    failures: tuple[str, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
 
 class CendError(Exception):

@@ -25,6 +25,7 @@ from typing import Sequence
 
 from .conformal import ConformalElement, _falling, nproduct, nproducts
 from .errors import (
+    CheckResult,
     DimensionMismatchError,
     InsufficientSamplesError,
     NotDifferentialError,
@@ -215,7 +216,7 @@ def act(w: WeylMatrix, b: ConformalElement) -> ConformalElement:
 
 def verify_composition(
     a: ConformalElement, b: ConformalElement, n: int, m: int
-) -> dict:
+) -> CheckResult:
     """Check the two composition rules tying symbols to n-products:
 
       symbol(a,n) * symbol(b,m) = sum_s C(n,s) symbol(a (n-s) b, m+s)
@@ -225,19 +226,16 @@ def verify_composition(
     rhs = WeylMatrix.zeros(a.n)
     for s in range(n + 1):
         rhs = rhs + symbol(nproduct(a, n - s, b), m + s) * comb(n, s)
-    composition = lhs == rhs
+    failures = [] if lhs == rhs else [f"composition at n={n}, m={m}"]
 
     lhs2 = symbol(nproduct(a, m, b), n)
     rhs2 = WeylMatrix.zeros(a.n)
     for s in range(m + 1):
         t = (symbol(a, m - s) * symbol(b, n + s)) * comb(m, s)
         rhs2 = rhs2 + (-t if s % 2 else t)
-    coefficient_rule = lhs2 == rhs2
-    return {
-        "composition": composition,
-        "coefficient_rule": coefficient_rule,
-        "ok": composition and coefficient_rule,
-    }
+    if lhs2 != rhs2:
+        failures.append(f"coefficient rule at n={n}, m={m}")
+    return CheckResult(2, tuple(failures))
 
 
 Vector = dict[tuple[int, int], Fraction]  # (component, p-degree) -> coeff
@@ -297,11 +295,27 @@ class _SpanBuilder:
         return not self.reduce(vec)
 
 
+@dataclass(frozen=True)
+class DensityResult:
+    """Verdict of the orbit-density certificate with the bounds behind it.
+
+    ``c`` is the largest degree gain of the operator pool; it and the two
+    bounds are ``None`` when no pool was built, ``reason`` is ``None`` exactly
+    when the verdict is Dense.
+    """
+
+    verdict: str
+    reason: str | None = None
+    c: int | None = None
+    deg_bound: int | None = None
+    n_bound: int | None = None
+
+
 def orbit_density_check(
     generators: Sequence[ConformalElement],
     deg_bound: int,
     n_bound: int,
-) -> dict:
+) -> DensityResult:
     """Certify that the operators act densely on V_N = k[p]^N.
 
     The operator pool consists of the symbols (n <= n_bound) of all words of
@@ -312,7 +326,7 @@ def orbit_density_check(
     of Dense or Unknown (a bounded search can never certify a negative).
     """
     if not generators:
-        return {"verdict": "Unknown", "reason": "no generators"}
+        return DensityResult("Unknown", "no generators")
     size = generators[0].n
     for g in generators:
         if g.n != size:
@@ -340,13 +354,8 @@ def orbit_density_check(
     c = shift
     target_deg = deg_bound - c
     if target_deg < 0 or not ops:
-        return {
-            "verdict": "Unknown",
-            "c": c,
-            "deg_bound": deg_bound,
-            "n_bound": n_bound,
-            "reason": "degree bound too small for the operator pool",
-        }
+        reason = "degree bound too small for the operator pool"
+        return DensityResult("Unknown", reason, c, deg_bound, n_bound)
 
     p_id = WeylMatrix(
         [
@@ -367,17 +376,9 @@ def orbit_density_check(
         for l in range(size):
             for j in range(target_deg + 1):
                 if not span.contains({(l, j): Fraction(1)}):
-                    return {
-                        "verdict": "Unknown",
-                        "c": c,
-                        "deg_bound": deg_bound,
-                        "n_bound": n_bound,
-                        "reason": f"orbit of basis vector {k} misses "
-                        f"degree {j} in component {l}",
-                    }
-    return {
-        "verdict": "Dense",
-        "c": c,
-        "deg_bound": deg_bound,
-        "n_bound": n_bound,
-    }
+                    reason = (
+                        f"orbit of basis vector {k} misses "
+                        f"degree {j} in component {l}"
+                    )
+                    return DensityResult("Unknown", reason, c, deg_bound, n_bound)
+    return DensityResult("Dense", None, c, deg_bound, n_bound)

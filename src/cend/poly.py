@@ -485,20 +485,6 @@ class BiPoly(_Sparse):
             out = out + BiPoly._new({(i, 0): a}) * powers[j]
         return out
 
-    def subst_d(self, t: "BiPoly") -> "BiPoly":
-        """Substitute D -> t(D, v)."""
-        powers: dict[int, BiPoly] = {0: BiPoly.const(1)}
-        out = BiPoly.zero()
-        for (i, j), a in self._c.items():
-            if i not in powers:
-                m = max(powers)
-                acc = powers[m]
-                for e in range(m + 1, i + 1):
-                    acc = acc * t
-                    powers[e] = acc
-            out = out + BiPoly._new({(0, j): a}) * powers[i]
-        return out
-
     def eval_d0(self) -> UniPoly:
         """Specialize D = 0, leaving a polynomial in v."""
         return UniPoly._new({j: a for (i, j), a in self._c.items() if i == 0}, "v")

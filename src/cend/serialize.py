@@ -28,7 +28,7 @@ from .classify import (
     SubalgebraPresentation,
 )
 from .conformal import ConformalElement
-from .operators import DifferentialSequence, OperatorSample
+from .operators import DensityResult, DifferentialSequence, OperatorSample
 from .poly import BiPoly, PolyMatrix, UniPoly, rat
 from .weyl import HSeqPair, WeylElement, WeylMatrix
 
@@ -42,6 +42,7 @@ __all__ = [
     "closure_to_json",
     "conformal_from_json",
     "conformal_to_json",
+    "density_to_json",
     "diffseq_from_json",
     "diffseq_to_json",
     "hseq_to_json",
@@ -111,40 +112,39 @@ def unipoly_from_json(data: Any, var: str) -> UniPoly:
     return UniPoly(coeffs, var)
 
 
-def bipoly_to_json(f: BiPoly) -> list:
+def _encode_terms(f: BiPoly | WeylElement) -> list:
     return [[i, j, rat_to_json(c)] for i, j, c in f.items()]
 
 
-def bipoly_from_json(data: Any) -> BiPoly:
+def _decode_terms(data: Any, what: str, shape: str) -> list:
+    """Validate a list of ``[i, j, coeff]`` triples and decode its terms."""
     if not isinstance(data, list):
-        raise ValueError("polynomial expected as a list of [degD, degV, coeff]")
+        raise ValueError(f"{what} expected as a list of {shape}")
     terms = []
     for item in data:
         if not isinstance(item, list) or len(item) != 3:
-            raise ValueError(f"bad polynomial term {item!r}")
+            raise ValueError(f"bad {what} term {item!r}")
         i, j, c = item
         if not _is_int(i) or not _is_int(j) or i < 0 or j < 0:
             raise ValueError(f"bad degrees in {item!r}")
         terms.append((i, j, rat_from_json(c)))
-    return BiPoly(terms)
+    return terms
+
+
+def bipoly_to_json(f: BiPoly) -> list:
+    return _encode_terms(f)
+
+
+def bipoly_from_json(data: Any) -> BiPoly:
+    return BiPoly(_decode_terms(data, "polynomial", "[degD, degV, coeff]"))
 
 
 def weyl_to_json(w: WeylElement) -> list:
-    return [[i, j, rat_to_json(c)] for i, j, c in w.items()]
+    return _encode_terms(w)
 
 
 def weyl_from_json(data: Any) -> WeylElement:
-    if not isinstance(data, list):
-        raise ValueError("operator expected as a list of [degP, degQ, coeff]")
-    terms = []
-    for item in data:
-        if not isinstance(item, list) or len(item) != 3:
-            raise ValueError(f"bad operator term {item!r}")
-        i, j, c = item
-        if not _is_int(i) or not _is_int(j) or i < 0 or j < 0:
-            raise ValueError(f"bad degrees in {item!r}")
-        terms.append((i, j, rat_from_json(c)))
-    return WeylElement(terms)
+    return WeylElement(_decode_terms(data, "operator", "[degP, degQ, coeff]"))
 
 
 # --------------------------------------------------------------------------
@@ -318,6 +318,17 @@ def kv_result_to_json(r: KvClosureResult) -> dict:
         "certifiedAtBound": r.certified_at_bound,
         "ambientBound": r.ambient_bound,
     }
+
+
+def density_to_json(r: DensityResult) -> dict:
+    fields = {
+        "verdict": r.verdict,
+        "reason": r.reason,
+        "c": r.c,
+        "degBound": r.deg_bound,
+        "nBound": r.n_bound,
+    }
+    return {k: v for k, v in fields.items() if v is not None}
 
 
 def classification_to_json(c: Classification) -> dict:

@@ -34,6 +34,10 @@ from .classify import (
     compose_autom,
     e_nq,
     left_ideal_member,
+    _V_MINUS_D,
+    _left_ideal_test,
+    _lift,
+    _matrix_at,
 )
 from .conformal import (
     ConformalElement,
@@ -121,33 +125,6 @@ def _at(table, k: int, n: int) -> ConformalElement:
     return table[k] if k < len(table) else ConformalElement.zero(n)
 
 
-def _eval_matrix(m: PolyMatrix, t: BiPoly) -> ConformalElement:
-    """Substitute the matrix's variable by the bivariate polynomial t."""
-    powers = [BiPoly.const(1)]
-
-    def at(f: UniPoly) -> BiPoly:
-        acc = BiPoly.zero()
-        for d in range((f.degree or 0) + 1):
-            while len(powers) <= d:
-                powers.append(powers[-1] * t)
-            c = f.coeff(d)
-            if c:
-                acc = acc + powers[d] * BiPoly.const(c)
-        return acc
-
-    return ConformalElement(
-        [[at(m.entry(i, j)) for j in range(m.n)] for i in range(m.n)]
-    )
-
-
-def _of_v(m: PolyMatrix) -> ConformalElement:
-    return _eval_matrix(m, BiPoly.v())
-
-
-def _of_v_minus_d(m: PolyMatrix) -> ConformalElement:
-    return _eval_matrix(m, BiPoly.v() - BiPoly.D())
-
-
 def _unit(n: int, i: int, j: int) -> ConformalElement:
     return ConformalElement.single(n, i, j, BiPoly.const(1))
 
@@ -226,11 +203,8 @@ def _chk_associativity(ctx):
             b = rand_conformal(ctx.rng, n, ctx.deg, ctx.deg)
             c = rand_conformal(ctx.rng, n, ctx.deg, ctx.deg)
             got = check_associativity(a, b, c, 2, 2)
-            cases += got["cases"]
-            for f in got["failures"]:
-                fails.append(
-                    f"size {n}: {f['identity']} at n={f['n']}, m={f['m']}"
-                )
+            cases += got.cases
+            fails += [f"size {n}: {f}" for f in got.failures]
     return cases, fails
 
 
@@ -246,10 +220,8 @@ def _chk_bracket(ctx):
             b = rand_conformal(ctx.rng, n, deg, deg, terms=terms)
             c = rand_conformal(ctx.rng, n, deg, deg, terms=terms)
             got = check_lie(a, b, c, 2, 2)
-            cases += got["cases"]
-            for f in got["failures"]:
-                where = f"n={f['n']}" + (f", m={f['m']}" if "m" in f else "")
-                fails.append(f"size {n}: {f['identity']} at {where}")
+            cases += got.cases
+            fails += [f"size {n}: {f}" for f in got.failures]
     return cases, fails
 
 
@@ -328,13 +300,8 @@ def _chk_operator_composition(ctx):
             for i in range(3):
                 for j in range(3):
                     got = verify_composition(a, b, i, j)
-                    cases += 2
-                    if not got["composition"]:
-                        fails.append(f"size {n}: composition at n={i}, m={j}")
-                    if not got["coefficient_rule"]:
-                        fails.append(
-                            f"size {n}: coefficient rule at n={i}, m={j}"
-                        )
+                    cases += got.cases
+                    fails += [f"size {n}: {f}" for f in got.failures]
     return cases, fails
 
 
@@ -440,9 +407,8 @@ def _chk_h_sequences(ctx):
     for _ in range(ctx.cases):
         h = rand_unipoly(ctx.rng, "p", max_deg=3, terms=2, span=2)
         got = verify_h_identities(h, 8)
-        cases += got["cases"]
-        for f in got["failures"]:
-            fails.append(f"{f['identity']} at k={f['k']}, xi={f['xi']}")
+        cases += got.cases
+        fails += got.failures
     return cases, fails
 
 
@@ -528,16 +494,16 @@ def _chk_ideal_left_action(ctx):
     for n in ctx.sizes:
         for _ in range(ctx.cases):
             q = _regular_polymatrix(ctx.rng, n, ctx.deg)
-            gen = _of_v_minus_d(q)
+            member = _left_ideal_test(q)
             m = rand_conformal(ctx.rng, n, 1, 1)
-            x = m * gen
+            x = m * _matrix_at(q, _V_MINUS_D)
             cases += 1
-            if not left_ideal_member(x, q):
+            if not member(x):
                 fails.append(f"size {n}: generated element not recognized")
             c = rand_conformal(ctx.rng, n, 1, 1)
             for k, prod in enumerate(ctx.nproducts(c, x)):
                 cases += 1
-                if not left_ideal_member(prod, q):
+                if not member(prod):
                     fails.append(f"size {n}: left action escaped at n={k}")
     return cases, fails
 
@@ -548,9 +514,9 @@ def _chk_ideal_corner_generator(ctx):
         for _ in range(ctx.cases):
             q = _regular_polymatrix(ctx.rng, n, ctx.deg)
             x = e_nq(n, q)
-            gen = _of_v_minus_d(q)
+            gen = _matrix_at(q, _V_MINUS_D)
             cases += 2
-            if not left_ideal_member(x, q):
+            if not _left_ideal_test(q)(x):
                 fails.append(f"size {n}: corner generator not a member")
             ok_rows = all(
                 x.entry(i, j).is_zero()
@@ -683,8 +649,8 @@ def _chk_structure_relations(ctx):
                 for _ in range(4)
             ]
             a, b, a1, b1 = mats
-            ea, ea1 = _of_v(a), _of_v(a1)
-            fb, fb1 = _of_v_minus_d(b), _of_v_minus_d(b1)
+            ea, ea1 = _lift(a), _lift(a1)
+            fb, fb1 = _matrix_at(b, _V_MINUS_D), _matrix_at(b1, _V_MINUS_D)
             x = ea * fb
             y = ea1 * fb1
             first = ctx.nproducts(ea, fb)
@@ -696,7 +662,7 @@ def _chk_structure_relations(ctx):
             deriv = b * a1
             second, third = ctx.nproducts(x, ea1), ctx.nproducts(x, y)
             for k in range(max(len(second), len(third)) + 1):
-                core = _of_v(a * deriv)
+                core = _lift(a * deriv)
                 cases += 2
                 if _at(second, k, n) != core:
                     fails.append(f"size {n}: second relation broke at n={k}")
@@ -774,15 +740,14 @@ def _chk_classification_instances(ctx):
         "LeftIdeal",
         lambda g: g.ideal_q == PolyMatrix([[v]], "v"),
     )
-    vmd = BiPoly.v() - BiPoly.D()
     run(
         "matrix slice",
         SubalgebraPresentation(
             (
                 _unit(2, 0, 0),
                 _unit(2, 1, 0),
-                ConformalElement.single(2, 0, 1, vmd),
-                ConformalElement.single(2, 1, 1, vmd),
+                ConformalElement.single(2, 0, 1, _V_MINUS_D),
+                ConformalElement.single(2, 1, 1, _V_MINUS_D),
             ),
             v_deg_bound=3,
             iter_bound=8,

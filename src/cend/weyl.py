@@ -22,6 +22,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Iterable, Mapping, Sequence
 
+from .errors import CheckResult
 from .poly import Scalar, UniPoly, _Matrix, _pair_str, _pair_terms, _Sparse
 
 
@@ -233,7 +234,7 @@ def h_sequences(h: UniPoly, k_max: int) -> HSeqPair:
     return HSeqPair(h, tuple(lower), tuple(upper))
 
 
-def verify_h_identities(h: UniPoly, k_max: int) -> dict:
+def verify_h_identities(h: UniPoly, k_max: int) -> CheckResult:
     """Check the convolution and binomial identities tying the two sequences.
 
     For all 0 <= xi <= k <= k_max:
@@ -245,7 +246,7 @@ def verify_h_identities(h: UniPoly, k_max: int) -> dict:
     lo, up = seqs.lower, seqs.upper
     zero = UniPoly.zero("p")
     one = UniPoly.const(1, "p")
-    failures: list[dict] = []
+    failures: list[str] = []
     cases = 0
     for k in range(k_max + 1):
         for xi in range(k + 1):
@@ -255,21 +256,15 @@ def verify_h_identities(h: UniPoly, k_max: int) -> dict:
                 acc = acc + comb(k - xi, s - xi) * (up[s - xi] * lo[k - s])
             want = one if xi == k else zero
             if acc != want:
-                failures.append({"identity": "convolution", "k": k, "xi": xi})
+                failures.append(f"convolution at k={k}, xi={xi}")
             if xi < k:
                 cases += 1
                 acc = zero
                 for s in range(xi, k):
                     acc = acc + comb(k, s) * comb(s, xi) * (up[s - xi] * lo[k - s])
                 if acc != -comb(k, xi) * up[k - xi]:
-                    failures.append({"identity": "binomial", "k": k, "xi": xi})
-    return {
-        "h": str(h),
-        "k_max": k_max,
-        "cases": cases,
-        "failures": failures,
-        "ok": not failures,
-    }
+                    failures.append(f"binomial at k={k}, xi={xi}")
+    return CheckResult(cases, tuple(failures))
 
 
 def split_by_shift(a: WeylElement) -> tuple[WeylElement, UniPoly]:

@@ -157,7 +157,7 @@ def test_02_both_associativity_expansions_hold_and_corruption_is_caught():
                 rand_conformal(rng, size, 3, 3, terms=terms) for _ in range(3)
             )
             got = check_associativity(a, b, c, 4, 4)
-            assert got["ok"], got["failures"]
+            assert got.ok, got.failures
             checked += 1
     assert checked == 100
 
@@ -189,7 +189,7 @@ def test_03_bracket_is_skew_and_satisfies_the_jacobi_expansion():
                 for _ in range(3)
             )
             got = check_lie(a, b, c, 2, 2)
-            assert got["ok"], got["failures"]
+            assert got.ok, got.failures
             checked += 1
     assert checked == 100
 
@@ -228,7 +228,7 @@ def test_06_operator_symbols_compose_and_reconstruct_exactly():
             for n in range(4):
                 for m in range(4):
                     got = verify_composition(a, b, n, m)
-                    assert got["ok"], (size, n, m, got)
+                    assert got.ok, (size, n, m, got)
             assert reconstruct(element_sequence(a)) == a
             checked += 1
     assert checked == 100
@@ -277,7 +277,7 @@ def test_09_shift_coefficient_sequences_satisfy_their_identities():
             "p",
         )
         got = verify_h_identities(h, 12)
-        assert got["ok"], got
+        assert got.ok, got
         # the lower sequence is exactly the shift-free part of (q - h)^n
         seqs = h_sequences(h, 10)
         hw = WeylElement.from_poly(h, "p")
@@ -404,8 +404,8 @@ def test_12_desk_scale_classification_returns_the_expected_verdicts():
                 expected_q
             )[0]
         dens = orbit_density_check(list(gens), 6, 6)
-        assert dens["verdict"] == "Dense"
-        assert dens["deg_bound"] <= 6
+        assert dens.verdict == "Dense"
+        assert dens.deg_bound <= 6
 
 
 def test_13_current_and_shift_generators_satisfy_the_structure_relations():

@@ -277,7 +277,7 @@ class TestBracket:
     @settings(max_examples=15, deadline=None)
     def test_lie_laws(self, a, b, c):
         report = check_lie(a, b, c, 2, 2)
-        assert report["ok"], report["failures"]
+        assert report.ok, report.failures
 
 
 class TestAssociativity:
@@ -286,7 +286,7 @@ class TestAssociativity:
     @settings(max_examples=15, deadline=None)
     def test_rewriting_identities(self, a, b, c, circ):
         report = check_associativity(a, b, c, 2, 2, circ)
-        assert report["ok"], report["failures"]
+        assert report.ok, report.failures
 
 
 class TestPhi:

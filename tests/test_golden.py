@@ -39,6 +39,10 @@ MATRIX_SLICE = (
     '],"vDegBound":3,"iterBound":8}'
 ) % (_V_MINUS_D, _V_MINUS_D)
 
+# Density certificates: the N=1 identity is Dense; v*Id_1 is Unknown with c.
+IDENTITY_1 = '{"generators":[{"N":1,"entries":[[[[0,0,"1"]]]]}]}'
+V_ID1 = '{"generators":[{"N":1,"entries":[[[[0,1,"1"]]]]}]}'
+
 CASES = [
     ("nproduct.txt", ["nproduct", "--n", "1"], V_ID1_PAIR),
     ("locality.txt", ["locality"], V_ID1_PAIR),
@@ -50,6 +54,10 @@ CASES = [
     ("classify_matrix_slice.txt", ["classify"], MATRIX_SLICE),
     ("verify_weyl_seed7.txt", ["verify", "--suite", "weyl", "--seed", "7"], ""),
     ("verify_seed42.txt", ["verify", "--seed", "42"], ""),
+    ("density_identity.txt", ["density", "--deg-bound", "4", "--n", "2"], IDENTITY_1),
+    ("density_v_id1.txt", ["density", "--deg-bound", "3", "--n", "3"], V_ID1),
+    ("density_no_generators.txt", ["density"], '{"generators": []}'),
+    ("hseq_identities.txt", ["hseq", "--n", "4"], '{"action": "identities", "h": [[1, "1"]]}'),
 ]
 
 

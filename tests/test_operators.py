@@ -115,19 +115,19 @@ class TestComposition:
         lhs = symbol(a, 1) * symbol(a, 0)
         assert lhs == w1(WeylElement([(2, 1, 1), (1, 0, 1)]))
         report = verify_composition(a, a, 1, 0)
-        assert report["ok"]
+        assert report.ok
 
     @given(elements(max_terms=2), elements(max_terms=2),
            st.integers(0, 3), st.integers(0, 3))
     @settings(max_examples=30, deadline=None)
     def test_random(self, a, b, n, m):
-        assert verify_composition(a, b, n, m)["ok"]
+        assert verify_composition(a, b, n, m).ok
 
     @given(elements(n=2, max_terms=1), elements(n=2, max_terms=1),
            st.integers(0, 2), st.integers(0, 2))
     @settings(max_examples=20, deadline=None)
     def test_random_2x2(self, a, b, n, m):
-        assert verify_composition(a, b, n, m)["ok"]
+        assert verify_composition(a, b, n, m).ok
 
 
 class TestSequences:
@@ -203,22 +203,22 @@ def curr_generators(n):
 class TestDensity:
     def test_scalar_current(self):
         res = orbit_density_check([ConformalElement.identity(1)], 4, 2)
-        assert res["verdict"] == "Dense"
-        assert res["c"] == 0
+        assert res.verdict == "Dense"
+        assert res.c == 0
 
     def test_matrix_current(self):
         res = orbit_density_check(curr_generators(2), 4, 2)
-        assert res["verdict"] == "Dense"
+        assert res.verdict == "Dense"
 
     def test_d_times_identity_is_unknown(self):
         res = orbit_density_check([d_id(2)], 5, 3)
-        assert res["verdict"] == "Unknown"
+        assert res.verdict == "Unknown"
 
     def test_principal_generator(self):
         res = orbit_density_check([ce1(V - D)], 4, 2)
-        assert res["verdict"] == "Dense"
+        assert res.verdict == "Dense"
         # the length-2 word (v-D)(0)(v-D) = v^2 - Dv contributes the shift
-        assert res["c"] == 2
+        assert res.c == 2
 
     def test_empty(self):
-        assert orbit_density_check([], 4, 2)["verdict"] == "Unknown"
+        assert orbit_density_check([], 4, 2).verdict == "Unknown"

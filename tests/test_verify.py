@@ -1,7 +1,15 @@
 """Behavior of the self-check harness: determinism, coverage, corruption."""
 
+import random
+import re
+
 import pytest
 
+import cend.conformal
+import cend.operators
+from cend.conformal import ConformalElement, check_associativity, check_lie
+from cend.operators import verify_composition
+from cend.sampling import rand_conformal
 from cend.serialize import canonical_dumps
 from cend.verify import SUITES, verify_suite
 
@@ -69,6 +77,54 @@ class TestCorruption:
         spared = {c["tag"] for c in corrupt_report["checks"] if not c["failures"]}
         assert "weyl-associativity" in spared
         assert "smith-witnesses" in spared
+
+
+# Every failure description a library check can produce.
+_FAILURE = re.compile(
+    r"(left-expansion|right-expansion|jacobi|composition|coefficient rule)"
+    r" at n=\d+, m=\d+|skew at n=\d+|(convolution|binomial) at k=\d+, xi=\d+"
+)
+
+
+@pytest.fixture
+def perturbed_products(monkeypatch):
+    """Add the identity to every product the library checks compute."""
+    one, table = cend.conformal.nproduct, cend.conformal.nproducts
+
+    def nproduct(a, n, b, circ=False):
+        return one(a, n, b, circ) + ConformalElement.identity(a.n)
+
+    def nproducts(a, b, circ=False):
+        return tuple(p + ConformalElement.identity(a.n) for p in table(a, b, circ))
+
+    monkeypatch.setattr(cend.conformal, "nproduct", nproduct)
+    monkeypatch.setattr(cend.conformal, "nproducts", nproducts)
+    monkeypatch.setattr(cend.operators, "nproduct", nproduct)
+
+
+class TestLibraryCheckFailures:
+    def test_checks_report_each_failed_case(self, perturbed_products):
+        # size 2: random 1x1 draws often have empty product tables
+        rng = random.Random(5)
+        a, b, c = (rand_conformal(rng, 2, 2, 2) for _ in range(3))
+        for got in (
+            check_associativity(a, b, c, 2, 2),
+            check_lie(a, b, c, 2, 2),
+            verify_composition(a, b, 1, 2),
+        ):
+            assert got.ok is False
+            assert 0 < len(got.failures) <= got.cases
+            for f in got.failures:
+                assert _FAILURE.fullmatch(f), f
+
+    def test_report_examples_keep_their_size_prefix(self, perturbed_products):
+        report = verify_suite(seed=3, suite="core", **_FAST)
+        (entry,) = [c for c in report["checks"] if c["tag"] == "product-associativity"]
+        assert entry["failures"] > 0
+        for example in entry["examples"]:
+            size, _, rest = example.partition(": ")
+            assert size in ("size 1", "size 2")
+            assert _FAILURE.fullmatch(rest), example
 
 
 class TestValidation:

@@ -243,7 +243,7 @@ class TestHSequences:
             UniPoly({2: Fraction(1, 2)}, "p"),
         ):
             report = verify_h_identities(h, 8)
-            assert report["ok"], report["failures"]
+            assert report.ok, report.failures
 
 
 class TestRebase:
