@@ -267,6 +267,9 @@ class ClosureResult:
     iterations: int
 
 
+_ZERO_D = UniPoly.zero("D")
+
+
 def _encode(a: ConformalElement, v_bound: int) -> list[UniPoly] | None:
     """Coordinates of ``a`` over ``k[D]``, indexed by (v-degree, row, col).
 
@@ -276,7 +279,7 @@ def _encode(a: ConformalElement, v_bound: int) -> list[UniPoly] | None:
     dv = a.deg_v
     if dv is not None and dv > v_bound:
         return None
-    vec = [UniPoly.zero("D") for _ in range((v_bound + 1) * n * n)]
+    vec = [_ZERO_D] * ((v_bound + 1) * n * n)  # UniPoly values are never mutated
     for i in range(n):
         for j in range(n):
             for k, f in a.entry(i, j).v_coeffs().items():
@@ -380,10 +383,6 @@ class KvClosureResult:
     ambient_bound: int
 
 
-def _rank(rows: list[list[UniPoly]], ncols: int) -> int:
-    return hermite_reduce(rows, ncols).rank
-
-
 def _kv_ideal_matrix(elements: list[ConformalElement], n: int) -> PolyMatrix | None:
     """Row-reduce the D=0 specializations into a square matrix over ``k[v]``.
 
@@ -447,24 +446,20 @@ def kv_closure(
         layer_elems.append(elems)
 
     # Directness of the sum C + vC + v^2 C + ...: compare ranks of each new
-    # layer against the span of the previous ones.
+    # layer against the canonical basis of the previous ones.  The layer
+    # v^t * C encodes to C's rows shifted by t * N^2 coordinates, so every
+    # layer has the rank of C.
     direct = True
     overlap = False
-    prefix: list[list[UniPoly]] = []
-    prefix_rank = 0
-    for t, rows in enumerate(layers):
-        if t == 0:
-            prefix = list(rows)
-            prefix_rank = _rank(prefix, ncols)
-            continue
-        layer_rank = _rank(rows, ncols)
-        combined_rank = _rank(prefix + rows, ncols)
-        if combined_rank < prefix_rank + layer_rank:
+    prefix = hermite_reduce(layers[0], ncols)
+    layer_rank = prefix.rank
+    for t, rows in enumerate(layers[1:], 1):
+        combined = hermite_reduce(list(prefix.rows) + rows, ncols)
+        if combined.rank < prefix.rank + layer_rank:
             direct = False
             if t == 1:
                 overlap = True
-        prefix = prefix + rows
-        prefix_rank = combined_rank
+        prefix = combined
 
     if overlap:
         directness = "Overlap"

@@ -527,7 +527,13 @@ def check_lie(
     n_max: int,
     m_max: int,
 ) -> CheckResult:
-    """Check skew-symmetry and the Jacobi-type expansion for the bracket."""
+    """Check skew-symmetry and the Jacobi-type expansion for the bracket.
+
+    The bracket is the lambda-commutator of the two product tables, so it is
+    skew by construction: the skew cases check only how ``_bracket_from``
+    assembles it from those tables.  A faulty product table shows up only in
+    the Jacobi cases.
+    """
     failures = []
     cases = 0
     zero = ConformalElement.zero(a.n)

@@ -912,6 +912,15 @@ def smith_normal_form(
     return PolyMatrix._new(t), PolyMatrix._new(s), PolyMatrix._new(u)
 
 
+def _sub_multiple(
+    r: list[UniPoly], f: UniPoly, b: Sequence[UniPoly], start: int
+) -> None:
+    """r -= f * b in place, over the nonzero entries of b from ``start`` on."""
+    for i in range(start, len(b)):
+        if b[i]._c:
+            r[i] = r[i] - f * b[i]
+
+
 class HSubmoduleBasis:
     """Canonical basis of a finitely generated submodule of k[D]^L.
 
@@ -937,7 +946,11 @@ class HSubmoduleBasis:
         return len(self.rows)
 
     def member(self, vec: Sequence[UniPoly]) -> bool:
-        """Does vec lie in the row span over k[D]?"""
+        """Does vec lie in the row span over k[D]?
+
+        Clears each pivot of a copy of ``vec`` in turn, reading only the
+        nonzero basis-row entries at or after that pivot.
+        """
         if len(vec) != self.ncols:
             raise DimensionMismatchError(
                 f"vector has {len(vec)} coordinates, basis has {self.ncols}"
@@ -948,7 +961,7 @@ class HSubmoduleBasis:
                 f, r = divmod(work[pos], row[pos])
                 if r:
                     return False
-                work = [a - f * b for a, b in zip(work, row)]
+                _sub_multiple(work, f, row, pos)
         return not any(work)
 
     def __iter__(self) -> Iterator[tuple[UniPoly, ...]]:
@@ -990,7 +1003,7 @@ def hermite_reduce(
     while queue:
         r = queue.pop()
         while True:
-            pos = next((i for i, e in enumerate(r) if e), None)
+            pos = next((i for i, e in enumerate(r) if e._c), None)
             if pos is None:
                 break
             if pos not in pivots:
@@ -1000,13 +1013,14 @@ def hermite_reduce(
             beta, rho = b[pos], r[pos]
             f, rem = divmod(rho, beta)
             if not rem:
-                r = [a - f * c for a, c in zip(r, b)]
+                _sub_multiple(r, f, b, pos)
                 continue
             g, uu, ww = poly_ext_gcd(beta, rho)
-            nb = [uu * a + ww * c for a, c in zip(b, r)]
+            # a pair of zero entries stays the zero it was
+            nb = [uu * a + ww * c if a._c or c._c else a for a, c in zip(b, r)]
             cb = rho // g
             cr = beta // g
-            nr = [cb * a - cr * c for a, c in zip(b, r)]
+            nr = [cb * a - cr * c if a._c or c._c else a for a, c in zip(b, r)]
             pivots[pos] = nb
             r = nr
 
@@ -1016,7 +1030,7 @@ def hermite_reduce(
         lc = row[pos].lead
         if lc != 1:
             inv = Fraction(1) / lc
-            pivots[pos] = [e * inv for e in row]
+            pivots[pos] = [e * inv if e._c else e for e in row]
     # reduce entries above later pivots; later rows are already canonical
     for idx in range(len(order) - 1, -1, -1):
         pos = order[idx]
@@ -1026,8 +1040,7 @@ def hermite_reduce(
             if e:
                 f = e // pivots[pos2][pos2]
                 if f:
-                    row = [a - f * b for a, b in zip(row, pivots[pos2])]
-        pivots[pos] = row
+                    _sub_multiple(row, f, pivots[pos2], pos2)
 
     return HSubmoduleBasis([pivots[p] for p in order], order, ncols)
 

@@ -30,7 +30,7 @@ from cend.errors import (
     SingularMatrixError,
 )
 from cend.operators import symbol
-from cend.poly import BiPoly, PolyMatrix, UniPoly
+from cend.poly import BiPoly, PolyMatrix, UniPoly, hermite_reduce
 from cend.verify import verify_suite
 from cend.weyl import WeylElement, WeylMatrix, q_valuation
 
@@ -488,6 +488,48 @@ class TestKvClosure:
         pres = SubalgebraPresentation(tuple(gens), v_deg_bound=2, iter_bound=1)
         with pytest.raises(NotClosedError):
             kv_closure(pres)
+
+    @pytest.mark.parametrize(
+        "gens, bound",
+        [
+            pytest.param(
+                lambda: [
+                    unit(2, 0, 0),
+                    unit(2, 1, 0),
+                    unit(2, 0, 1, V - D),
+                    unit(2, 1, 1, V - D),
+                ],
+                3,
+                id="matrix-slice",
+            ),
+            pytest.param(
+                lambda: [
+                    apply_autom(unit(2, i, j), AutomorphismSpec(Fraction(0), upper_u()))
+                    for i in range(2)
+                    for j in range(2)
+                ],
+                2,
+                id="conjugated-current",
+            ),
+            pytest.param(lambda: [e_nq(1, PolyMatrix([[v]], "v"))], 3, id="scalar-slice"),
+        ],
+    )
+    def test_every_layer_has_the_rank_of_c(self, gens, bound):
+        """The layer v^t * C encodes to C's rows shifted by t * N^2
+        coordinates, so kv_closure ranks no layer on its own."""
+        closure = subalgebra_closure(SubalgebraPresentation(tuple(gens()), bound, 8))
+        assert closure.fixed_point
+        n, ambient = closure.n, 2 * bound
+        ncols = (ambient + 1) * n * n
+        encode = cend.classify._encode
+        c_rows = [encode(c, ambient) for c in closure.elements]
+        rank_c = hermite_reduce(c_rows, ncols).rank
+        assert rank_c == len(closure.elements)
+        for t in range(1, bound + 1):
+            layer = [
+                encode(c.map(lambda e: e * V**t), ambient) for c in closure.elements
+            ]
+            assert hermite_reduce(layer, ncols).rank == rank_c
 
 
 class TestClassify:

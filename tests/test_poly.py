@@ -499,3 +499,49 @@ class TestHermite:
         for r, c in zip(rows, coeffs):
             vec = [a + c * b for a, b in zip(vec, r)]
         assert basis.member(vec)
+
+
+@st.composite
+def sparse_rows(draw, ncols, max_rows=5):
+    """Rows of k[D]^ncols with one to three nonzero coordinates each."""
+    rows = []
+    for _ in range(draw(st.integers(1, max_rows))):
+        row = [DZ] * ncols
+        for i in draw(st.lists(st.integers(0, ncols - 1), min_size=1, max_size=3)):
+            row[i] = draw(unipolys(var="D", max_deg=2).filter(bool))
+        rows.append(row)
+    return rows
+
+
+class TestSparseMembership:
+    """``member`` against re-reduction: v lies in the span exactly when
+    adding it as a generator leaves the canonical basis unchanged.  The
+    sizes reach L = 24, an N = 2 encoding at v-bound 5."""
+
+    @given(st.integers(1, 24), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_member_agrees_with_hermite_reduce(self, ncols, data):
+        basis = hermite_reduce(data.draw(sparse_rows(ncols)), ncols)
+        vec = [DZ] * ncols
+        for row in basis.rows:
+            c = data.draw(unipolys(var="D", max_deg=2))
+            vec = [a + c * b for a, b in zip(vec, row)]
+        kind = data.draw(st.sampled_from(["combination", "off pivot", "at pivot"]))
+        free = [i for i in range(ncols) if i not in basis.pivots]
+        # a unit is no multiple of a pivot of positive degree
+        raised = [p for r, p in zip(basis.rows, basis.pivots) if r[p].degree]
+        if kind == "off pivot" and free:
+            i = data.draw(st.sampled_from(free))
+            vec[i] = vec[i] + D1
+        elif kind == "at pivot" and raised:
+            pos = data.draw(st.sampled_from(raised))
+            vec[pos] = vec[pos] + D1
+        else:
+            kind = "combination"
+        before = list(vec)
+
+        got = basis.member(vec)
+
+        assert vec == before  # the caller's vector is left as it was
+        assert got == (hermite_reduce(list(basis.rows) + [vec], ncols) == basis)
+        assert got == (kind == "combination")
