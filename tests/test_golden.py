@@ -39,6 +39,21 @@ MATRIX_SLICE = (
     '],"vDegBound":3,"iterBound":8}'
 ) % (_V_MINUS_D, _V_MINUS_D)
 
+# The same slice at v-bound 5: four rounds, and some products overflow.
+MATRIX_SLICE_B5 = MATRIX_SLICE.replace('"vDegBound":3', '"vDegBound":5')
+
+# The 2x2 matrix units under the transvection (0, [[1, v], [0, 1]]), the
+# same generators as the benchmark's "conjugated-current": a witness is found.
+CONJUGATED_CURRENT = (
+    '{"generators":['
+    '{"N":2,"entries":[[[[0,0,"1"]],[[0,1,"1"],[1,0,"-1"]]],[[],[]]]},'
+    '{"N":2,"entries":[[[],[[0,0,"1"]]],[[],[]]]},'
+    '{"N":2,"entries":[[[[0,1,"-1"]],[[0,2,"-1"],[1,1,"1"]]],'
+    '[[[0,0,"1"]],[[0,1,"1"],[1,0,"-1"]]]]},'
+    '{"N":2,"entries":[[[],[[0,1,"-1"]]],[[],[[0,0,"1"]]]]}'
+    '],"iterBound":4,"vDegBound":2}'
+)
+
 # Density certificates: the N=1 identity is Dense; v*Id_1 is Unknown with c.
 IDENTITY_1 = '{"generators":[{"N":1,"entries":[[[[0,0,"1"]]]]}]}'
 V_ID1 = '{"generators":[{"N":1,"entries":[[[[0,1,"1"]]]]}]}'
@@ -52,6 +67,8 @@ CASES = [
     ("closure_matrix_slice.txt", ["closure"], MATRIX_SLICE),
     ("kv_closure_matrix_slice.txt", ["kv-closure"], MATRIX_SLICE),
     ("classify_matrix_slice.txt", ["classify"], MATRIX_SLICE),
+    ("closure_matrix_slice_b5.txt", ["closure"], MATRIX_SLICE_B5),
+    ("classify_conjugated_current.txt", ["classify"], CONJUGATED_CURRENT),
     ("verify_weyl_seed7.txt", ["verify", "--suite", "weyl", "--seed", "7"], ""),
     ("verify_seed42.txt", ["verify", "--seed", "42"], ""),
     ("density_identity.txt", ["density", "--deg-bound", "4", "--n", "2"], IDENTITY_1),
