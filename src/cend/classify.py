@@ -20,11 +20,10 @@ of guessing.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .conformal import ConformalElement, nproducts
+from .conformal import ConformalElement, _product_bound, _sesquilinear_sweep, nproducts
 from .errors import (
     BoundTooSmallError,
     DimensionMismatchError,
@@ -276,15 +275,45 @@ def _encode(a: ConformalElement, v_bound: int) -> list[UniPoly] | None:
     Returns None when the element exceeds the v-degree bound.
     """
     n = a.n
-    dv = a.deg_v
-    if dv is not None and dv > v_bound:
-        return None
     vec = [_ZERO_D] * ((v_bound + 1) * n * n)  # UniPoly values are never mutated
     for i in range(n):
         for j in range(n):
             for k, f in a.entry(i, j).v_coeffs().items():
+                if k > v_bound:
+                    return None
                 vec[(k * n + i) * n + j] = f
     return vec
+
+
+def _product_vectors(
+    a: ConformalElement, b: ConformalElement, v_bound: int
+) -> list[list[UniPoly] | None]:
+    """``_encode(x, v_bound)`` for each nonzero ``x`` in ``nproducts(a, b)``.
+
+    The coordinates are read from the n-product sweep's integer
+    accumulators, so no product is assembled, and an over-bound product is
+    seen before any of its coefficients becomes a Fraction.
+    """
+    n = a.n
+    accs, den = _sesquilinear_sweep(a, b, range(_product_bound(a, b, False)), False)
+    out: list[list[UniPoly] | None] = []
+    for acc in accs:
+        coords: dict[int, dict[int, int]] = {}
+        for (r, c, d, e), x in acc.items():
+            if x:
+                if e > v_bound:
+                    out.append(None)
+                    break
+                coords.setdefault((e * n + r) * n + c, {})[d] = x
+        else:
+            if coords:
+                vec = [_ZERO_D] * ((v_bound + 1) * n * n)
+                for idx, num in coords.items():
+                    vec[idx] = UniPoly._new(
+                        {d: Fraction(x, den) for d, x in num.items()}, "D"
+                    )
+                out.append(vec)
+    return out
 
 
 def _decode(vec: list[UniPoly], n: int) -> ConformalElement:
@@ -325,26 +354,23 @@ def subalgebra_closure(pres: SubalgebraPresentation) -> ClosureResult:
     fresh = list(elements)
     while iterations < pres.iter_bound:
         iterations += 1
-        new_rows = []
+        # non-members in first-seen order; a repeat would be reduced again
+        new_rows: dict[tuple[UniPoly, ...], list[UniPoly]] = {}
         # Pairs with at least one factor from the last wave suffice: older
         # pairs were already reduced against a smaller basis, and bases only
         # grow, so their products stay inside the span.
         pool = [(a, b) for a in fresh for b in elements]
         pool += [(a, b) for a in elements for b in fresh if a not in fresh]
         for a, b in pool:
-            for x in nproducts(a, b):
-                if x.is_zero():
-                    continue
-                vec = _encode(x, bound)
+            for vec in _product_vectors(a, b, bound):
                 if vec is None:
                     overflow = True
-                    continue
-                if not basis.member(vec):
-                    new_rows.append(vec)
+                elif not basis.member(vec):
+                    new_rows.setdefault(tuple(vec), vec)
         if not new_rows:
             fixed_point = True
             break
-        basis = hermite_reduce(list(basis.rows) + new_rows, basis.ncols)
+        basis = hermite_reduce(list(basis.rows) + list(new_rows.values()), basis.ncols)
         decoded = [_decode(r, n) for r in basis.rows]
         fresh = [e for e in decoded if e not in elements]
         elements = decoded
@@ -410,8 +436,8 @@ def kv_closure(
     """Span a closed subalgebra by ``k[v]`` and identify the resulting ideal.
 
     Raises :class:`NotClosedError` when the presentation does not reach a
-    fixed point, and :class:`BoundTooSmallError` when the ideal data has not
-    stabilized at the available v-degree budget.
+    fixed point, and :class:`BoundTooSmallError` when the span has rank below
+    N or escapes the ideal it extracts at the available v-degree budget.
     """
     if closure is None:
         closure = subalgebra_closure(pres)
@@ -433,8 +459,9 @@ def kv_closure(
     for t in range(bound + 1):
         elems = []
         rows = []
+        v_t = v_poly**t
         for c in closure.elements:
-            x = c if t == 0 else c.map(lambda e: e * (v_poly ** t))
+            x = c if t == 0 else c.map(lambda e: e * v_t)
             vec = _encode(x, ambient)
             if vec is None:
                 raise InvariantError(
@@ -468,19 +495,13 @@ def kv_closure(
     else:
         directness = "NonDirectNoOverlap"
 
-    # Extract the ideal matrix from D=0 specializations and require it to be
-    # stable under adding the last layer; otherwise the budget was too small.
-    all_but_last = list(itertools.chain.from_iterable(layer_elems[:-1]))
-    everything = all_but_last + layer_elems[-1]
-    q_prev = _kv_ideal_matrix(all_but_last, n) if bound >= 1 else None
-    q_full = _kv_ideal_matrix(everything, n)
+    # Extract the ideal matrix from the D=0 specializations of C.  At D = 0
+    # the rows of v^t * c are v^t times the rows of c, so the later layers
+    # add nothing to the k[v]-row span.
+    q_full = _kv_ideal_matrix(layer_elems[0], n)
     if q_full is None:
         raise BoundTooSmallError(
             f"the k[v]-span has rank below {n} at v-degree bound {bound}"
-        )
-    if bound >= 1 and (q_prev is None or q_prev != q_full):
-        raise BoundTooSmallError(
-            f"ideal data still changing at v-degree bound {bound}"
         )
 
     # Every spanned element must lie in the left ideal the matrix cuts out,

@@ -41,9 +41,14 @@ from .poly import BiPoly, PolyMatrix, Scalar, UniPoly, _Matrix
 
 
 class ConformalElement(_Matrix):
-    """Square matrix over k[D, v]."""
+    """Square matrix over k[D, v].
 
-    __slots__ = ()
+    Elements are immutable; the integer monomial form that products and
+    degrees read is computed on first use and kept in ``_form``, which
+    equality and hashing ignore.
+    """
+
+    __slots__ = ("_form",)
 
     def __init__(self, rows: Sequence[Sequence[BiPoly | Scalar]]):
         super().__init__(
@@ -91,7 +96,21 @@ class ConformalElement(_Matrix):
     ) -> "ConformalElement":
         if isinstance(other, BiPoly):
             return ConformalElement._new([[e * other for e in r] for r in self.rows])
-        return _Matrix.__mul__(self, other)
+        if type(other) is not ConformalElement:
+            return _Matrix.__mul__(self, other)
+        self._require_same_size(other)
+        # the entries commute: D^i v^p A * D^j v^q B = D^(i+j) v^(p+q) AB
+        ma, den_a, _, _ = self._monomial_matrices()
+        mb, den_b, _, _ = other._monomial_matrices()
+        acc: dict = {}
+        for i, ai in ma.items():
+            for j, bj in mb.items():
+                for p, ap in ai.items():
+                    for q, bq in bj.items():
+                        for (r, c), x in _sparse_matmul(ap, bq).items():
+                            key = (r, c, i + j, p + q)
+                            acc[key] = acc.get(key, 0) + x
+        return _assemble(self.n, [acc], den_a * den_b)[0]
 
     def d_mul(self) -> "ConformalElement":
         """Multiply by D * Id."""
@@ -101,15 +120,42 @@ class ConformalElement(_Matrix):
         """Multiply by v * Id."""
         return self * BiPoly.v()
 
+    def _monomial_matrices(self) -> tuple[dict, int, int | None, int | None]:
+        """``(mats, den, deg_d, deg_v)``, computed once per element.
+
+        ``mats`` is ``{D-degree: {v-degree: {row: [(col, numerator)]}}}``
+        with absent entries zero; the numerators are ints over the common
+        denominator ``den``.  The degrees are None for the zero element.
+        Every caller shares the cached dicts and only reads them.
+        """
+        try:
+            return self._form
+        except AttributeError:
+            pass
+        den = 1
+        for row in self.rows:
+            for e in row:
+                for a in e._c.values():
+                    den = lcm(den, a.denominator)
+        mats: dict = {}
+        for r, row in enumerate(self.rows):
+            for c, e in enumerate(row):
+                for (i, p), a in e._c.items():
+                    mat = mats.setdefault(i, {}).setdefault(p, {})
+                    mat.setdefault(r, []).append(
+                        (c, a.numerator * (den // a.denominator))
+                    )
+        deg_v = max((p for by_v in mats.values() for p in by_v), default=None)
+        self._form = (mats, den, max(mats, default=None), deg_v)
+        return self._form
+
     @property
     def deg_d(self) -> int | None:
-        degs = [e.deg_d for r in self.rows for e in r if e]
-        return max(degs) if degs else None
+        return self._monomial_matrices()[2]
 
     @property
     def deg_v(self) -> int | None:
-        degs = [e.deg_v for r in self.rows for e in r if e]
-        return max(degs) if degs else None
+        return self._monomial_matrices()[3]
 
     def d_coeffs(self) -> dict[int, PolyMatrix]:
         """Decompose as sum_i D^i A_i(v); returns {i: A_i} over k[v]."""
@@ -187,26 +233,6 @@ def _falling(n: int, k: int) -> int:
     return out
 
 
-def _monomial_matrices(x: ConformalElement) -> tuple[dict, int]:
-    """``x`` as ``{D-degree: {v-degree: {row: [(col, numerator)]}}}``.
-
-    Absent entries are zero.  The numerators are ints over the common
-    denominator returned with them.
-    """
-    den = 1
-    for row in x.rows:
-        for e in row:
-            for a in e._c.values():
-                den = lcm(den, a.denominator)
-    out: dict = {}
-    for r, row in enumerate(x.rows):
-        for c, e in enumerate(row):
-            for (i, p), a in e._c.items():
-                mat = out.setdefault(i, {}).setdefault(p, {})
-                mat.setdefault(r, []).append((c, a.numerator * (den // a.denominator)))
-    return out, den
-
-
 def _sparse_matmul(a: dict, b: dict) -> dict:
     """Product of two monomial matrices as ``{(row, col): int}``."""
     out: dict = {}
@@ -244,9 +270,9 @@ def _fold(prods: dict, m: int, circ: bool) -> dict:
     return out
 
 
-def _extend_sesquilinear(
+def _sesquilinear_sweep(
     a: ConformalElement, b: ConformalElement, ns: range, circ: bool
-) -> list[ConformalElement]:
+) -> tuple[list[dict], int]:
     """Extend the D-free base product to all of M_N(k[D,v]), for each n in ns.
 
     This is the unique extension satisfying the two sesquilinearity laws:
@@ -267,10 +293,12 @@ def _extend_sesquilinear(
     monomial matrices once, folds the products into one base product per
     m, and scatters each base product into every n it reaches.  All
     arithmetic is on integer numerators over the factors' common
-    denominators; each result coefficient becomes a Fraction once.
+    denominators: the result is one accumulator
+    ``{(row, col, D-deg, v-deg): numerator}`` per n, which may hold zero
+    values, and the denominator ``den_a * den_b`` they share.
     """
-    ma, den_a = _monomial_matrices(a)
-    mb, den_b = _monomial_matrices(b)
+    ma, den_a, _, _ = a._monomial_matrices()
+    mb, den_b, _, _ = b._monomial_matrices()
     accs: list[dict] = [{} for _ in ns]
     for i, ai in ma.items():
         sign = -1 if i % 2 else 1
@@ -298,10 +326,15 @@ def _extend_sesquilinear(
                     for (r, c, s, e), x in base.items():
                         key = (r, c, s + shift, e)
                         acc[key] = acc.get(key, 0) + w * x
-    den = den_a * den_b
+    return accs, den_a * den_b
+
+
+def _assemble(n: int, accs: list[dict], den: int) -> list[ConformalElement]:
+    """The N x N elements holding the accumulators' numerators over ``den``;
+    each nonzero coefficient becomes a Fraction once."""
     out = []
     for acc in accs:
-        cells: list[list[dict]] = [[{} for _ in range(a.n)] for _ in range(a.n)]
+        cells: list[list[dict]] = [[{} for _ in range(n)] for _ in range(n)]
         for (r, c, d, e), x in acc.items():
             if x:
                 cells[r][c][d, e] = Fraction(x, den)
@@ -316,7 +349,7 @@ def nproduct(
     a._require_same_size(b)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _extend_sesquilinear(a, b, range(n, n + 1), circ)[0]
+    return _assemble(a.n, *_sesquilinear_sweep(a, b, range(n, n + 1), circ))[0]
 
 
 def nproducts(
@@ -332,7 +365,8 @@ def nproducts(
     factor it differentiates.
     """
     a._require_same_size(b)
-    table = _extend_sesquilinear(a, b, range(_product_bound(a, b, circ)), circ)
+    ns = range(_product_bound(a, b, circ))
+    table = _assemble(a.n, *_sesquilinear_sweep(a, b, ns, circ))
     while table and table[-1].is_zero():
         table.pop()
     return tuple(table)

@@ -342,8 +342,9 @@ def orbit_density_check(
     ops: list[WeylMatrix] = []
     shift = 0
     for w in words:
+        seq = element_sequence(w)
         for n in range(n_bound + 1):
-            s = symbol(w, n)
+            s = seq.operator(n)
             if s.is_zero():
                 continue
             ops.append(s)

@@ -19,7 +19,7 @@ from cend.classify import (
     right_ideal_member,
     subalgebra_closure,
 )
-from cend.conformal import ConformalElement, locality, nproduct
+from cend.conformal import ConformalElement, locality, nproduct, nproducts
 import cend.classify
 from cend.errors import (
     BoundTooSmallError,
@@ -452,6 +452,80 @@ class TestSubalgebraClosure:
         got = subalgebra_closure(pres)
         assert got.elements == ()
         assert got.fixed_point and not got.overflow
+
+
+@st.composite
+def rational_pairs(draw, max_n=3, max_terms=2):
+    """Two elements of one size N <= max_n with small rational coefficients."""
+    n = draw(st.integers(1, max_n))
+    coeff = st.fractions(-3, 3, max_denominator=4)
+    pair = []
+    for _ in range(2):
+        rows = [
+            [
+                BiPoly(
+                    {
+                        (draw(st.integers(0, 2)), draw(st.integers(0, 2))): draw(coeff)
+                        for _ in range(draw(st.integers(0, max_terms)))
+                    }
+                )
+                for _ in range(n)
+            ]
+            for _ in range(n)
+        ]
+        pair.append(ConformalElement(rows))
+    return tuple(pair)
+
+
+class TestProductVectors:
+    """The closure reads coordinates straight from the n-product sweep."""
+
+    @given(rational_pairs(), st.integers(0, 4))
+    @settings(max_examples=80, deadline=None)
+    def test_vectors_equal_the_encoded_products(self, pair, bound):
+        a, b = pair
+        products = [x for x in nproducts(a, b) if not x.is_zero()]
+        got = cend.classify._product_vectors(a, b, bound)
+        assert got == [cend.classify._encode(x, bound) for x in products]
+        assert [vec is None for vec in got] == [x.deg_v > bound for x in products]
+
+    def test_over_bound_products_are_none(self):
+        # v (0) v = v^2 is over bound 1, v (1) v = v is not
+        v1 = ConformalElement([[V]])
+        got = cend.classify._product_vectors(v1, v1, 1)
+        assert got == [None, cend.classify._encode(v1, 1)]
+
+    def test_zero_products_are_skipped(self):
+        assert cend.classify._product_vectors(unit(2, 0, 1), unit(2, 0, 1), 2) == []
+
+    def test_closure_queues_each_non_member_once(self, monkeypatch):
+        # e01 (0) v e10 and v e01 (0) e10 are both v e00, a non-member in the
+        # first round; each round's rows reach hermite_reduce without repeats
+        seen = []
+        reduce = cend.classify.hermite_reduce
+
+        def spy(rows, ncols):
+            seen.append(rows)
+            return reduce(rows, ncols)
+
+        monkeypatch.setattr(cend.classify, "hermite_reduce", spy)
+        gens = [unit(2, 0, 1), unit(2, 1, 0), unit(2, 0, 1, V), unit(2, 1, 0, V)]
+        subalgebra_closure(SubalgebraPresentation(tuple(gens), 3, 8))
+        for rows in seen:
+            assert len({tuple(r) for r in rows}) == len(rows)
+
+
+class TestKvIdealMatrix:
+    @given(rational_pairs(max_terms=3), st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_later_layers_add_nothing(self, pair, bound):
+        n = pair[0].n
+        layers = [
+            [c.map(lambda e: e * V**t) for c in pair] for t in range(bound + 1)
+        ]
+        everything = [x for layer in layers for x in layer]
+        ideal = cend.classify._kv_ideal_matrix
+        assert ideal(layers[0], n) == ideal(everything, n)
 
 
 class TestKvClosure:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from cend.conformal import (
     v_id,
 )
 from cend.errors import DimensionMismatchError
-from cend.poly import BiPoly, PolyMatrix, UniPoly
+from cend.poly import BiPoly, PolyMatrix, UniPoly, _gen_matmul
 
 D = BiPoly.D()
 V = BiPoly.v()
@@ -347,3 +348,91 @@ class TestCurrEmbed:
         a = curr_embed(PolyMatrix.identity(1, "D"))
         b = curr_embed(PolyMatrix([[du]], "D"))
         assert nproduct(a, 1, b) == ConformalElement.identity(1)
+
+
+class TestMonomialForm:
+    """The integer monomial form each element keeps for products and degrees."""
+
+    @given(same_size_pairs())
+    @settings(max_examples=40, deadline=None)
+    def test_form_reproduces_every_coefficient(self, pair):
+        for x in pair:
+            mats, den, _, _ = x._monomial_matrices()
+            want_den = 1
+            for row in x.rows:
+                for e in row:
+                    for _, _, a in e.items():
+                        want_den = lcm(want_den, a.denominator)
+            assert den == want_den
+            got: dict = {}
+            for i, by_v in mats.items():
+                for p, mat in by_v.items():
+                    for r, cols in mat.items():
+                        for c, num in cols:
+                            assert isinstance(num, int) and num
+                            assert (r, c, i, p) not in got
+                            got[r, c, i, p] = Fraction(num, den)
+            want = {
+                (r, c, i, p): a
+                for r, row in enumerate(x.rows)
+                for c, e in enumerate(row)
+                for i, p, a in e.items()
+            }
+            assert got == want
+
+    @given(same_size_pairs())
+    @settings(max_examples=40, deadline=None)
+    def test_cached_form_equals_a_fresh_decomposition(self, pair):
+        a, _ = pair
+        form = a._monomial_matrices()
+        assert a._monomial_matrices() is form
+        assert ConformalElement._new(a.rows)._monomial_matrices() == form
+
+    @given(same_size_pairs())
+    @settings(max_examples=40, deadline=None)
+    def test_degrees_are_the_entry_maxima(self, pair):
+        for x in pair:
+            entries = [e for row in x.rows for e in row if e]
+            assert x.deg_d == max((e.deg_d for e in entries), default=None)
+            assert x.deg_v == max((e.deg_v for e in entries), default=None)
+
+    def test_zero_has_no_degrees(self):
+        z = ConformalElement.zero(2)
+        assert z.deg_d is None and z.deg_v is None
+        assert z._monomial_matrices() == ({}, 1, None, None)
+
+    @given(same_size_pairs())
+    @settings(max_examples=30, deadline=None)
+    def test_eq_and_hash_ignore_the_cache(self, pair):
+        a, _ = pair
+        filled, empty = ConformalElement._new(a.rows), ConformalElement._new(a.rows)
+        filled._monomial_matrices()
+        assert filled == empty and empty == filled
+        assert hash(filled) == hash(empty)
+        assert len({filled, empty}) == 1
+
+    @given(same_size_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_product_matches_the_entrywise_reference(self, pair):
+        a, b = pair
+        assert a * b == ConformalElement._new(_gen_matmul(a.rows, b.rows))
+
+    def test_product_keeps_zero_entries_and_cancellations(self):
+        a = ConformalElement([[V, D], [0, 0]])
+        b = ConformalElement([[D, 0], [-V, 0]])
+        got = a * b
+        assert got == ConformalElement([[0, 0], [0, 0]])
+        assert got.is_zero() and got.deg_v is None
+        assert (a * ConformalElement.zero(2)).is_zero()
+
+    def test_product_with_rational_coefficients(self):
+        a = ConformalElement([[BiPoly.v(1, Fraction(1, 2)), 0], [0, D]])
+        b = ConformalElement([[BiPoly.D(1, Fraction(2, 3)), 1], [0, V]])
+        assert a * b == ConformalElement(
+            [[BiPoly.monomial(1, 1, Fraction(1, 3)), BiPoly.v(1, Fraction(1, 2))],
+             [0, D * V]]
+        )
+
+    def test_product_size_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            ConformalElement.identity(1) * ConformalElement.identity(2)
