@@ -23,7 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .conformal import ConformalElement, _product_bound, _sesquilinear_sweep, nproducts
+from .conformal import (
+    ConformalElement,
+    _product_bound,
+    _sesquilinear_sweep,
+    nproducts,
+    phi_inv,
+)
 from .errors import (
     BoundTooSmallError,
     DimensionMismatchError,
@@ -115,15 +121,7 @@ def compose_autom(t1: AutomorphismSpec, t2: AutomorphismSpec) -> AutomorphismSpe
 
 def _lift(q: PolyMatrix) -> ConformalElement:
     """A matrix over ``k[x]`` read as a D-free element in ``v``."""
-    return ConformalElement._new([[BiPoly.from_uni(e, "v") for e in r] for r in q.rows])
-
-
-def _matrix_at(q: PolyMatrix, t: BiPoly) -> ConformalElement:
-    """A matrix over ``k[x]`` evaluated entrywise at a bivariate argument."""
-    return _lift(q).map(lambda e: e.subst_v(t))
-
-
-_V_MINUS_D = BiPoly.v() - BiPoly.D()
+    return ConformalElement.from_d_coeffs({0: q}, q.n)
 
 
 def apply_autom(a: ConformalElement, t: AutomorphismSpec) -> ConformalElement:
@@ -138,9 +136,7 @@ def apply_autom(a: ConformalElement, t: AutomorphismSpec) -> ConformalElement:
     if a.n != t.n:
         raise DimensionMismatchError(f"sizes {a.n} and {t.n}")
     q_inv = _lift(unimodular_inverse(t.q))
-    q_right = _matrix_at(t.q, _V_MINUS_D)
-    shifted = a.map(lambda e: e.shift_v(t.alpha))
-    return q_inv * shifted * q_right
+    return q_inv * a._subst_v(t.alpha, 0) * phi_inv(_lift(t.q))
 
 
 def apply_autom_weyl(w: WeylMatrix, t: AutomorphismSpec) -> WeylMatrix:
@@ -173,7 +169,7 @@ def left_ideal_member(x: ConformalElement, q: PolyMatrix) -> bool:
 def _left_ideal_test(q: PolyMatrix):
     """``left_ideal_member(., q)`` with ``Q(v - D)``, its determinant and
     adjugate built once; the returned test takes elements of Q's size."""
-    divide = _right_divider(_matrix_at(q, _V_MINUS_D).rows)
+    divide = _right_divider(phi_inv(_lift(q)).rows)
     return lambda x: divide(x.rows) is not None
 
 
@@ -191,7 +187,7 @@ def e_nq(n: int, q: PolyMatrix) -> ConformalElement:
     if q.n != n:
         raise DimensionMismatchError(f"sizes {n} and {q.n}")
     corner = ConformalElement.single(n, n - 1, n - 1, BiPoly.const(1))
-    return corner * _matrix_at(q, _V_MINUS_D)
+    return corner * phi_inv(_lift(q))
 
 
 def canonicalize_Q(
@@ -208,7 +204,7 @@ def canonicalize_Q(
     t_mat, diag, u_mat = smith_normal_form(q)
     spec = AutomorphismSpec(Fraction(0), u_mat)
     if not q.det().is_zero():
-        gen = _matrix_at(q, _V_MINUS_D)
+        gen = phi_inv(_lift(q))
         member = _left_ideal_test(diag)
         for m in _ambient_samples(q.n):
             x = m * gen
@@ -275,13 +271,19 @@ def _encode(a: ConformalElement, v_bound: int) -> list[UniPoly] | None:
     Returns None when the element exceeds the v-degree bound.
     """
     n = a.n
+    coords: dict[int, dict[int, Fraction]] = {}
+    for (r, c, d, e), x in a._c.items():
+        if e > v_bound:
+            return None
+        coords.setdefault((e * n + r) * n + c, {})[d] = x
+    return _vector(coords, n, v_bound)
+
+
+def _vector(coords: dict, n: int, v_bound: int) -> list[UniPoly]:
+    """The coordinate vector with ``{index: {D-degree: coefficient}}`` filled in."""
     vec = [_ZERO_D] * ((v_bound + 1) * n * n)  # UniPoly values are never mutated
-    for i in range(n):
-        for j in range(n):
-            for k, f in a.entry(i, j).v_coeffs().items():
-                if k > v_bound:
-                    return None
-                vec[(k * n + i) * n + j] = f
+    for idx, by_d in coords.items():
+        vec[idx] = UniPoly._new(by_d, "D")
     return vec
 
 
@@ -298,34 +300,27 @@ def _product_vectors(
     accs, den = _sesquilinear_sweep(a, b, range(_product_bound(a, b, False)), False)
     out: list[list[UniPoly] | None] = []
     for acc in accs:
-        coords: dict[int, dict[int, int]] = {}
+        coords: dict[int, dict[int, Fraction]] = {}
         for (r, c, d, e), x in acc.items():
             if x:
                 if e > v_bound:
                     out.append(None)
                     break
-                coords.setdefault((e * n + r) * n + c, {})[d] = x
+                coords.setdefault((e * n + r) * n + c, {})[d] = Fraction(x, den)
         else:
             if coords:
-                vec = [_ZERO_D] * ((v_bound + 1) * n * n)
-                for idx, num in coords.items():
-                    vec[idx] = UniPoly._new(
-                        {d: Fraction(x, den) for d, x in num.items()}, "D"
-                    )
-                out.append(vec)
+                out.append(_vector(coords, n, v_bound))
     return out
 
 
 def _decode(vec: list[UniPoly], n: int) -> ConformalElement:
-    acc = ConformalElement.zero(n)
+    c: dict = {}
     for idx, f in enumerate(vec):
-        if f.is_zero():
-            continue
-        k, rest = divmod(idx, n * n)
-        i, j = divmod(rest, n)
-        term = BiPoly.from_uni(f, "D") * BiPoly.monomial(0, k, 1)
-        acc = acc + ConformalElement.single(n, i, j, term)
-    return acc
+        e, rest = divmod(idx, n * n)
+        r, col = divmod(rest, n)
+        for d, a in f._c.items():
+            c[r, col, d, e] = a
+    return ConformalElement._new(c, n)
 
 
 def subalgebra_closure(pres: SubalgebraPresentation) -> ClosureResult:
@@ -417,12 +412,8 @@ def _kv_ideal_matrix(elements: list[ConformalElement], n: int) -> PolyMatrix | N
     elements recovers the row space of ``Q``.  Returns None when the rows do
     not span full rank yet.
     """
-    rows: list[list[UniPoly]] = []
-    for e in elements:
-        spec = [
-            [e.entry(i, j).eval_d0() for j in range(n)] for i in range(n)
-        ]
-        rows.extend(spec)
+    zero = PolyMatrix.zeros(n, "v")
+    rows = [r for e in elements for r in e.d_coeffs().get(0, zero).rows]
     basis = hermite_reduce(rows, n)
     if basis.rank < n:
         return None
@@ -453,15 +444,13 @@ def kv_closure(
     ambient = 2 * bound
     ncols = (ambient + 1) * n * n
 
-    v_poly = BiPoly.v()
     layers: list[list[list[UniPoly]]] = []
     layer_elems: list[list[ConformalElement]] = []
     for t in range(bound + 1):
         elems = []
         rows = []
-        v_t = v_poly**t
         for c in closure.elements:
-            x = c if t == 0 else c.map(lambda e: e * v_t)
+            x = c._mul_monomial(0, t)
             vec = _encode(x, ambient)
             if vec is None:
                 raise InvariantError(

@@ -80,18 +80,20 @@ from .verify import SUITES, verify_suite
 from .weyl import h_sequences, split_by_shift, rebase_coefficients, rebase_inverse, verify_h_identities
 
 
-def _field(payload, name: str):
+def _object(payload) -> dict:
     if not isinstance(payload, dict):
         raise ValueError("payload must be a JSON object")
-    if name not in payload:
+    return payload
+
+
+def _field(payload, name: str):
+    if name not in _object(payload):
         raise ValueError(f"payload is missing the field {name!r}")
     return payload[name]
 
 
 def _flag(payload, name: str, default: bool = False) -> bool:
-    if not isinstance(payload, dict):
-        raise ValueError("payload must be a JSON object")
-    val = payload.get(name, default)
+    val = _object(payload).get(name, default)
     if not isinstance(val, bool):
         raise ValueError(f"field {name!r} must be a boolean")
     return val
@@ -212,7 +214,7 @@ def _cmd_ideal_member(args, payload):
 
 
 def _cmd_hseq(args, payload):
-    action = payload.get("action", "sequences")
+    action = _object(payload).get("action", "sequences")
     if action == "split":
         w = weyl_from_json(_field(payload, "w"))
         stem, c = split_by_shift(w)
@@ -246,9 +248,7 @@ def _cmd_hseq(args, payload):
 
 
 def _cmd_verify(args, payload):
-    payload = payload or {}
-    if not isinstance(payload, dict):
-        raise ValueError("payload must be a JSON object")
+    payload = _object(payload or {})
     report = verify_suite(
         seed=args.seed,
         suite=args.suite,

@@ -1,7 +1,9 @@
 """Matrices over k[D, v] with their families of n-products.
 
-An element is an N x N matrix with entries in the commutative ring k[D, v].
-Two families of bilinear n-products live on this space:
+An element is an N x N matrix with entries in the commutative ring k[D, v],
+stored as one sparse map ``{(row, col, D-degree, v-degree): coefficient}``
+that holds only nonzero ``Fraction`` coefficients.  Two families of
+bilinear n-products live on this space:
 
 * the composition products coming from matrix differential operators acting
   on column vectors of polynomials (``circ=False``, the default), and
@@ -37,68 +39,124 @@ from math import comb, factorial, lcm
 from typing import Mapping, Sequence
 
 from .errors import CheckResult, DimensionMismatchError
-from .poly import BiPoly, PolyMatrix, Scalar, UniPoly, _Matrix
+from .poly import BiPoly, PolyMatrix, Scalar, UniPoly, _Sparse
 
 
-class ConformalElement(_Matrix):
+class ConformalElement(_Sparse):
     """Square matrix over k[D, v].
 
-    Elements are immutable; the integer monomial form that products and
-    degrees read is computed on first use and kept in ``_form``, which
-    equality and hashing ignore.
+    ``_c`` is the coefficient map of the module docstring and the size ``n``
+    is the tag that sums and differences check; ``rows`` and ``entry`` build
+    ``BiPoly`` entries on demand.  Elements are immutable; the integer
+    monomial form that products and degrees read is computed on first use
+    and kept in ``_form``, which equality and hashing ignore.
     """
 
-    __slots__ = ("_form",)
+    __slots__ = ("n", "_form")
 
     def __init__(self, rows: Sequence[Sequence[BiPoly | Scalar]]):
-        super().__init__(
-            rows, lambda e: e if isinstance(e, BiPoly) else BiPoly.const(e)
-        )
+        n = len(rows)
+        if not n or any(len(r) != n for r in rows):
+            raise DimensionMismatchError("matrix must be square and nonempty")
+        c: dict = {}
+        for r, row in enumerate(rows):
+            for col, e in enumerate(row):
+                if not isinstance(e, BiPoly):
+                    e = BiPoly.const(e)
+                for (i, p), a in e._c.items():
+                    c[r, col, i, p] = a
+        self.n = n
+        self._c = c
+
+    @classmethod
+    def _new(cls, c: dict, n: int) -> "ConformalElement":
+        """Trusted builder: ``c`` maps keys of an n x n element to Fractions."""
+        out = object.__new__(cls)
+        out.n = n
+        out._c = {k: a for k, a in c.items() if a}
+        return out
+
+    def _like(self, c: dict) -> "ConformalElement":
+        return ConformalElement._new(c, self.n)
+
+    def _require_same_tag(self, other: "ConformalElement") -> None:
+        if self.n != other.n:
+            raise DimensionMismatchError(f"sizes {self.n} and {other.n}")
+
+    def one_like(self) -> "ConformalElement":
+        return ConformalElement.identity(self.n)
 
     @classmethod
     def zero(cls, n: int) -> "ConformalElement":
-        return cls.scalar(n, BiPoly.zero())
+        return cls._new({}, n)
 
     @classmethod
     def identity(cls, n: int) -> "ConformalElement":
-        return cls.scalar(n, BiPoly.const(1))
+        return cls._new({(k, k, 0, 0): Fraction(1) for k in range(n)}, n)
 
     @classmethod
     def scalar(cls, n: int, f: BiPoly) -> "ConformalElement":
         """f * Id."""
-        z = BiPoly.zero()
-        return cls([[f if i == j else z for j in range(n)] for i in range(n)])
+        return cls._new(
+            {(k, k, i, p): a for k in range(n) for (i, p), a in f._c.items()}, n
+        )
 
     @classmethod
     def single(cls, n: int, i: int, j: int, f: BiPoly) -> "ConformalElement":
-        z = BiPoly.zero()
-        return cls(
-            [[f if (r, c) == (i, j) else z for c in range(n)] for r in range(n)]
-        )
+        """f * e_ij."""
+        if not (0 <= i < n and 0 <= j < n):
+            raise IndexError(f"entry ({i}, {j}) outside a {n} x {n} matrix")
+        return cls._new({(i, j, d, p): a for (d, p), a in f._c.items()}, n)
 
     @classmethod
     def from_d_coeffs(
         cls, coeffs: Mapping[int, PolyMatrix], n: int
     ) -> "ConformalElement":
         """Assemble sum_i D^i * A_i from v-coefficient matrices A_i."""
-        cells: list[list[dict]] = [[{} for _ in range(n)] for _ in range(n)]
+        c: dict = {}
         for i, mat in coeffs.items():
             if mat.n != n:
                 raise DimensionMismatchError("coefficient matrix size mismatch")
-            for cell_row, row in zip(cells, mat.rows):
-                for cell, e in zip(cell_row, row):
-                    for d, a in e.items():
-                        cell[(i, d)] = a
-        return cls._new([[BiPoly._new(c) for c in r] for r in cells])
+            for r, row in enumerate(mat.rows):
+                for col, e in enumerate(row):
+                    for p, a in e._c.items():
+                        c[r, col, i, p] = a
+        return cls._new(c, n)
+
+    @property
+    def rows(self) -> tuple[tuple[BiPoly, ...], ...]:
+        n = self.n
+        cells: list[list[dict]] = [[{} for _ in range(n)] for _ in range(n)]
+        for (r, col, i, p), a in self._c.items():
+            cells[r][col][i, p] = a
+        return tuple(tuple(map(BiPoly._new, row)) for row in cells)
+
+    def entry(self, r: int, col: int) -> BiPoly:
+        return BiPoly._new(
+            {(i, p): a for (x, y, i, p), a in self._c.items() if (x, y) == (r, col)}
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not ConformalElement:
+            return NotImplemented
+        return self.n == other.n and self._c == other._c
+
+    def __hash__(self) -> int:
+        return hash((self.n, frozenset(self._c.items())))
 
     def __mul__(
         self, other: "ConformalElement | BiPoly | Scalar"
     ) -> "ConformalElement":
         if isinstance(other, BiPoly):
-            return ConformalElement._new([[e * other for e in r] for r in self.rows])
+            c: dict = {}
+            for (r, col, i, p), a in self._c.items():
+                for (j, q), b in other._c.items():
+                    key = (r, col, i + j, p + q)
+                    c[key] = c[key] + a * b if key in c else a * b
+            return self._like(c)
         if type(other) is not ConformalElement:
-            return _Matrix.__mul__(self, other)
-        self._require_same_size(other)
+            return _Sparse.__mul__(self, other)
+        self._require_same_tag(other)
         # the entries commute: D^i v^p A * D^j v^q B = D^(i+j) v^(p+q) AB
         ma, den_a, _, _ = self._monomial_matrices()
         mb, den_b, _, _ = other._monomial_matrices()
@@ -112,13 +170,35 @@ class ConformalElement(_Matrix):
                             acc[key] = acc.get(key, 0) + x
         return _assemble(self.n, [acc], den_a * den_b)[0]
 
+    def _mul_monomial(self, i: int, p: int) -> "ConformalElement":
+        """Multiply by D^i v^p * Id."""
+        return self._like(
+            {(r, c, d + i, e + p): a for (r, c, d, e), a in self._c.items()}
+        )
+
     def d_mul(self) -> "ConformalElement":
         """Multiply by D * Id."""
-        return self * BiPoly.D()
+        return self._mul_monomial(1, 0)
 
     def v_mul(self) -> "ConformalElement":
         """Multiply by v * Id."""
-        return self * BiPoly.v()
+        return self._mul_monomial(0, 1)
+
+    def transpose(self) -> "ConformalElement":
+        return self._like({(c, r, d, e): a for (r, c, d, e), a in self._c.items()})
+
+    def _subst_v(self, c: Scalar, d: int) -> "ConformalElement":
+        """Substitute v -> v + c * D^d (d is 0 or 1) in every entry:
+        D^i v^p becomes sum_k C(p, k) c^(p-k) D^(i + d(p-k)) v^k."""
+        if not c:
+            return self
+        out: dict = {}
+        for (r, col, i, p), a in self._c.items():
+            for k in range(p + 1):
+                key = (r, col, i + d * (p - k), k)
+                t = a * (comb(p, k) * c ** (p - k))
+                out[key] = out[key] + t if key in out else t
+        return self._like(out)
 
     def _monomial_matrices(self) -> tuple[dict, int, int | None, int | None]:
         """``(mats, den, deg_d, deg_v)``, computed once per element.
@@ -132,19 +212,11 @@ class ConformalElement(_Matrix):
             return self._form
         except AttributeError:
             pass
-        den = 1
-        for row in self.rows:
-            for e in row:
-                for a in e._c.values():
-                    den = lcm(den, a.denominator)
+        den = lcm(*(a.denominator for a in self._c.values()))
         mats: dict = {}
-        for r, row in enumerate(self.rows):
-            for c, e in enumerate(row):
-                for (i, p), a in e._c.items():
-                    mat = mats.setdefault(i, {}).setdefault(p, {})
-                    mat.setdefault(r, []).append(
-                        (c, a.numerator * (den // a.denominator))
-                    )
+        for (r, col, i, p), a in self._c.items():
+            mat = mats.setdefault(i, {}).setdefault(p, {})
+            mat.setdefault(r, []).append((col, a.numerator * (den // a.denominator)))
         deg_v = max((p for by_v in mats.values() for p in by_v), default=None)
         self._form = (mats, den, max(mats, default=None), deg_v)
         return self._form
@@ -159,31 +231,21 @@ class ConformalElement(_Matrix):
 
     def d_coeffs(self) -> dict[int, PolyMatrix]:
         """Decompose as sum_i D^i A_i(v); returns {i: A_i} over k[v]."""
-        out: dict[int, list[list[UniPoly]]] = {}
-        zero = UniPoly.zero("v")
-        for r in range(self.n):
-            for c in range(self.n):
-                for i, f in self.rows[r][c].d_coeffs().items():
-                    if i not in out:
-                        out[i] = [
-                            [zero for _ in range(self.n)] for _ in range(self.n)
-                        ]
-                    out[i][r][c] = f
-        return {i: PolyMatrix._new(rows) for i, rows in out.items()}
+        out: dict[int, list[list[dict]]] = {}
+        for (r, col, i, p), a in self._c.items():
+            if i not in out:
+                out[i] = [[{} for _ in range(self.n)] for _ in range(self.n)]
+            out[i][r][col][p] = a
+        return {
+            i: PolyMatrix._new([[UniPoly._new(x, "v") for x in row] for row in cells])
+            for i, cells in out.items()
+        }
 
-    def v_coeffs(self) -> dict[int, PolyMatrix]:
-        """Decompose as sum_j C_j(D) v^j; returns {j: C_j} over k[D]."""
-        out: dict[int, list[list[UniPoly]]] = {}
-        zero = UniPoly.zero("D")
-        for r in range(self.n):
-            for c in range(self.n):
-                for j, f in self.rows[r][c].v_coeffs().items():
-                    if j not in out:
-                        out[j] = [
-                            [zero for _ in range(self.n)] for _ in range(self.n)
-                        ]
-                    out[j][r][c] = f
-        return {j: PolyMatrix._new(rows) for j, rows in out.items()}
+    def __str__(self) -> str:
+        return "[" + "; ".join(", ".join(map(str, r)) for r in self.rows) + "]"
+
+    def __repr__(self) -> str:
+        return f"ConformalElement({self})"
 
 
 def v_id(n: int) -> ConformalElement:
@@ -196,11 +258,14 @@ def d_id(n: int) -> ConformalElement:
 
 def curr_embed(mat: PolyMatrix) -> ConformalElement:
     """Embed a matrix over k[D] as a v-free element (the current part)."""
-    return ConformalElement(
-        [
-            [BiPoly.from_uni(mat.entry(i, j), "D") for j in range(mat.n)]
-            for i in range(mat.n)
-        ]
+    return ConformalElement._new(
+        {
+            (r, col, i, 0): a
+            for r, row in enumerate(mat.rows)
+            for col, e in enumerate(row)
+            for i, a in e._c.items()
+        },
+        mat.n,
     )
 
 
@@ -332,21 +397,17 @@ def _sesquilinear_sweep(
 def _assemble(n: int, accs: list[dict], den: int) -> list[ConformalElement]:
     """The N x N elements holding the accumulators' numerators over ``den``;
     each nonzero coefficient becomes a Fraction once."""
-    out = []
-    for acc in accs:
-        cells: list[list[dict]] = [[{} for _ in range(n)] for _ in range(n)]
-        for (r, c, d, e), x in acc.items():
-            if x:
-                cells[r][c][d, e] = Fraction(x, den)
-        out.append(ConformalElement._new([list(map(BiPoly._new, r)) for r in cells]))
-    return out
+    return [
+        ConformalElement._new({k: Fraction(x, den) for k, x in acc.items() if x}, n)
+        for acc in accs
+    ]
 
 
 def nproduct(
     a: ConformalElement, n: int, b: ConformalElement, circ: bool = False
 ) -> ConformalElement:
     """The n-th product of a and b (closed form)."""
-    a._require_same_size(b)
+    a._require_same_tag(b)
     if n < 0:
         raise ValueError("n must be nonnegative")
     return _assemble(a.n, *_sesquilinear_sweep(a, b, range(n, n + 1), circ))[0]
@@ -364,7 +425,7 @@ def nproducts(
     (``circ``), because the base product is limited by the v-degree of the
     factor it differentiates.
     """
-    a._require_same_size(b)
+    a._require_same_tag(b)
     ns = range(_product_bound(a, b, circ))
     table = _assemble(a.n, *_sesquilinear_sweep(a, b, ns, circ))
     while table and table[-1].is_zero():
@@ -500,19 +561,17 @@ def _brackets(
 
 def phi(a: ConformalElement) -> ConformalElement:
     """Base change v -> v + D; carries the default products to the circ ones."""
-    t = BiPoly.v() + BiPoly.D()
-    return a.map(lambda e: e.subst_v(t))
+    return a._subst_v(1, 1)
 
 
 def phi_inv(a: ConformalElement) -> ConformalElement:
-    t = BiPoly.v() - BiPoly.D()
-    return a.map(lambda e: e.subst_v(t))
+    return a._subst_v(-1, 1)
 
 
 def sigma(a: ConformalElement) -> ConformalElement:
     """The involution: transpose composed with (D, v) -> (-D, v - D)."""
-    t = BiPoly.v() - BiPoly.D()
-    return a.transpose().map(lambda e: e.flip_d().subst_v(t))
+    flipped = {(c, r, i, p): -x if i % 2 else x for (r, c, i, p), x in a._c.items()}
+    return ConformalElement._new(flipped, a.n)._subst_v(-1, 1)
 
 
 def check_associativity(

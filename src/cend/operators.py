@@ -171,47 +171,35 @@ def fit_differential_sequence(
     return seq
 
 
-def _w_q_coeffs(w: WeylMatrix) -> dict[int, PolyMatrix]:
-    """Decompose an operator matrix as sum_n W_n(p) q^n."""
-    out: dict[int, list[list[dict]]] = {}
-    for i, row in enumerate(w.rows):
-        for j, e in enumerate(row):
-            for dp, dq, c in e.items():
-                if dq not in out:
-                    out[dq] = [[{} for _ in range(w.n)] for _ in range(w.n)]
-                out[dq][i][j][dp] = c
-    return {
-        n: PolyMatrix._new([[UniPoly._new(x, "p") for x in r] for r in cells])
-        for n, cells in out.items()
-    }
-
-
 def act(w: WeylMatrix, b: ConformalElement) -> ConformalElement:
     """Left action of an operator matrix on an element.
 
     For w = symbol(a, n) this returns the n-th product of a and b, and the
-    action is associative over the operator product.
+    action is associative over the operator product.  A term c p^i q^n of
+    w's (r, k) entry sends D^j v^e in b's row k to
+
+        sum_t C(n,t) (j)_t (e)_(n-t) c D^(j-t) v^(i+e-n+t)
+
+    in row r.
     """
     if w.n != b.n:
         raise DimensionMismatchError(f"sizes {w.n} and {b.n}")
-    size = w.n
-    acc: dict[int, PolyMatrix] = {}
-    bd = b.d_coeffs()
-    for n, wn in _w_q_coeffs(w).items():
-        wv = wn.retag("v")
-        for j, bj in bd.items():
-            for t in range(min(n, j) + 1):
-                c = Fraction(comb(n, t) * _falling(j, t))
-                der = bj
-                for _ in range(n - t):
-                    der = der.map(lambda e: e.derivative())
-                term = wv * der * c
-                slot = j - t
-                if slot in acc:
-                    acc[slot] = acc[slot] + term
-                else:
-                    acc[slot] = term
-    return ConformalElement.from_d_coeffs(acc, size)
+    by_row: dict[int, list] = {}
+    for (k, col, j, e), x in b._c.items():
+        by_row.setdefault(k, []).append((col, j, e, x))
+    acc: dict = {}
+    for r, row in enumerate(w.rows):
+        for k, entry in enumerate(row):
+            terms = by_row.get(k)
+            if not terms:
+                continue
+            for (i, n), c in entry._c.items():
+                for col, j, e, x in terms:
+                    for t in range(max(n - e, 0), min(n, j) + 1):
+                        key = (r, col, j - t, i + e - n + t)
+                        y = c * x * (comb(n, t) * _falling(j, t) * _falling(e, n - t))
+                        acc[key] = acc[key] + y if key in acc else y
+    return ConformalElement._new(acc, w.n)
 
 
 def verify_composition(

@@ -1,10 +1,11 @@
 """Exact polynomial kernel over the rationals.
 
 Sparse univariate and bivariate polynomials with ``fractions.Fraction``
-coefficients, the square-matrix core shared by every matrix class, square
-polynomial matrices, and the two matrix normal forms everything else is
-built on: the Smith form with unimodular witnesses over k[x], and a reduced
-echelon (Hermite) basis for finitely generated submodules of k[D]^L.
+coefficients on one shared sparse core (which ``ConformalElement`` reuses),
+the square-matrix core behind ``PolyMatrix`` and ``WeylMatrix``, and the two
+matrix normal forms everything else is built on: the Smith form with
+unimodular witnesses over k[x], and a reduced echelon (Hermite) basis for
+finitely generated submodules of k[D]^L.
 
 All values are immutable after construction; every operation returns a new
 object. Zero coefficients are never stored, so structural equality is
@@ -55,7 +56,7 @@ def _join_terms(terms: list[str]) -> str:
 
 
 class _Sparse:
-    """Shared core of the sparse polynomial classes.
+    """Shared core of the sparse polynomial classes and ``ConformalElement``.
 
     ``_c`` maps monomial keys to nonzero ``Fraction`` coefficients.  The
     public constructors validate and normalize data from outside; results of
@@ -452,57 +453,6 @@ class BiPoly(_Sparse):
         """Partial derivative in D."""
         return BiPoly._new({(i - 1, j): i * a for (i, j), a in self._c.items() if i})
 
-    def flip_d(self) -> "BiPoly":
-        """Substitute D -> -D."""
-        return BiPoly._new({k: -a if k[0] % 2 else a for k, a in self._c.items()})
-
-    def shift_v(self, alpha: Scalar) -> "BiPoly":
-        """Substitute v -> v + alpha."""
-        alpha = Fraction(alpha)
-        if not alpha:
-            return self
-        from math import comb
-
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i, j), a in self._c.items():
-            for k in range(j + 1):
-                key = (i, k)
-                t = a * comb(j, k) * alpha ** (j - k)
-                out[key] = out[key] + t if key in out else t
-        return BiPoly._new(out)
-
-    def subst_v(self, t: "BiPoly") -> "BiPoly":
-        """Substitute v -> t(D, v)."""
-        powers: dict[int, BiPoly] = {0: BiPoly.const(1)}
-        out = BiPoly.zero()
-        for (i, j), a in self._c.items():
-            if j not in powers:
-                m = max(powers)
-                acc = powers[m]
-                for e in range(m + 1, j + 1):
-                    acc = acc * t
-                    powers[e] = acc
-            out = out + BiPoly._new({(i, 0): a}) * powers[j]
-        return out
-
-    def eval_d0(self) -> UniPoly:
-        """Specialize D = 0, leaving a polynomial in v."""
-        return UniPoly._new({j: a for (i, j), a in self._c.items() if i == 0}, "v")
-
-    def d_coeffs(self) -> dict[int, UniPoly]:
-        """Decompose as sum_i D^i * A_i(v); returns {i: A_i}."""
-        out: dict[int, dict[int, Fraction]] = {}
-        for (i, j), a in self._c.items():
-            out.setdefault(i, {})[j] = a
-        return {i: UniPoly._new(c, "v") for i, c in out.items()}
-
-    def v_coeffs(self) -> dict[int, UniPoly]:
-        """Decompose as sum_j B_j(D) * v^j; returns {j: B_j}."""
-        out: dict[int, dict[int, Fraction]] = {}
-        for (i, j), a in self._c.items():
-            out.setdefault(j, {})[i] = a
-        return {j: UniPoly._new(c, "D") for j, c in out.items()}
-
     def to_uni(self, axis: str) -> UniPoly:
         """Read off a polynomial supported on one axis (error if mixed)."""
         if axis == "D":
@@ -602,7 +552,7 @@ def _gen_adjugate(rows: Sequence[Sequence]) -> list[list]:
 
 
 class _Matrix:
-    """Shared core of the square-matrix classes.
+    """Shared core of the square-matrix classes, ``PolyMatrix`` and ``WeylMatrix``.
 
     ``rows`` is a nonempty square tuple of row tuples over one entry ring.
     The public constructors validate data from outside and decide how a

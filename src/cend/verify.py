@@ -34,10 +34,8 @@ from .classify import (
     compose_autom,
     e_nq,
     left_ideal_member,
-    _V_MINUS_D,
     _left_ideal_test,
     _lift,
-    _matrix_at,
 )
 from .conformal import (
     ConformalElement,
@@ -496,7 +494,7 @@ def _chk_ideal_left_action(ctx):
             q = _regular_polymatrix(ctx.rng, n, ctx.deg)
             member = _left_ideal_test(q)
             m = rand_conformal(ctx.rng, n, 1, 1)
-            x = m * _matrix_at(q, _V_MINUS_D)
+            x = m * phi_inv(_lift(q))
             cases += 1
             if not member(x):
                 fails.append(f"size {n}: generated element not recognized")
@@ -514,7 +512,7 @@ def _chk_ideal_corner_generator(ctx):
         for _ in range(ctx.cases):
             q = _regular_polymatrix(ctx.rng, n, ctx.deg)
             x = e_nq(n, q)
-            gen = _matrix_at(q, _V_MINUS_D)
+            gen = phi_inv(_lift(q))
             cases += 2
             if not _left_ideal_test(q)(x):
                 fails.append(f"size {n}: corner generator not a member")
@@ -650,7 +648,7 @@ def _chk_structure_relations(ctx):
             ]
             a, b, a1, b1 = mats
             ea, ea1 = _lift(a), _lift(a1)
-            fb, fb1 = _matrix_at(b, _V_MINUS_D), _matrix_at(b1, _V_MINUS_D)
+            fb, fb1 = phi_inv(_lift(b)), phi_inv(_lift(b1))
             x = ea * fb
             y = ea1 * fb1
             first = ctx.nproducts(ea, fb)
@@ -678,6 +676,7 @@ def _chk_classification_instances(ctx):
     cases, fails = 0, []
     v = UniPoly.gen("v")
     one = UniPoly.const(1, "v")
+    v_minus_d = BiPoly.v() - BiPoly.D()
 
     def run(label, pres, verdict, check=None):
         nonlocal cases
@@ -746,8 +745,8 @@ def _chk_classification_instances(ctx):
             (
                 _unit(2, 0, 0),
                 _unit(2, 1, 0),
-                ConformalElement.single(2, 0, 1, _V_MINUS_D),
-                ConformalElement.single(2, 1, 1, _V_MINUS_D),
+                ConformalElement.single(2, 0, 1, v_minus_d),
+                ConformalElement.single(2, 1, 1, v_minus_d),
             ),
             v_deg_bound=3,
             iter_bound=8,
@@ -814,8 +813,12 @@ def verify_suite(
     sizes = list(sizes)
     if any(not isinstance(s, int) or isinstance(s, bool) or s < 1 for s in sizes):
         raise ValueError("sizes must be positive integers")
+    if bounds is None:
+        bounds = {}
+    if not isinstance(bounds, Mapping):
+        raise ValueError("bounds must map bound names to integers")
     eff = dict(_DEFAULT_BOUNDS)
-    for key, val in (bounds or {}).items():
+    for key, val in bounds.items():
         if key not in eff:
             raise ValueError(f"unknown bound {key!r}")
         if not isinstance(val, int) or isinstance(val, bool) or val < 1:

@@ -284,29 +284,26 @@ def rebase_coefficients(coeffs: Sequence, h: UniPoly) -> list:
     anything supporting addition and right multiplication by UniPoly works.
     Returns B with B_k = A_k + sum_{s<k} C(k,s) A_s lower[k-s].
     """
-    n = len(coeffs)
-    if n == 0:
-        return []
-    seqs = h_sequences(h, n - 1)
-    out = []
-    for k, a_k in enumerate(coeffs):
-        acc = a_k
-        for s in range(k):
-            acc = acc + comb(k, s) * (coeffs[s] * seqs.lower[k - s])
-        out.append(acc)
-    return out
+    return _rebase(coeffs, h, inverse=False)
 
 
 def rebase_inverse(coeffs: Sequence, h: UniPoly) -> list:
     """Inverse of rebase_coefficients: A_k = sum_s C(k,s) B_s upper[k-s]."""
+    return _rebase(coeffs, h, inverse=True)
+
+
+def _rebase(coeffs: Sequence, h: UniPoly, inverse: bool) -> list:
+    """X_k = Y_k + sum_{s<k} C(k,s) Y_s c[k-s] for Y = coeffs, with c the
+    upper sequence of h when ``inverse`` and the lower one otherwise."""
     n = len(coeffs)
     if n == 0:
         return []
     seqs = h_sequences(h, n - 1)
+    c = seqs.upper if inverse else seqs.lower
     out = []
-    for k in range(n):
-        acc = coeffs[k]
+    for k, y_k in enumerate(coeffs):
+        acc = y_k
         for s in range(k):
-            acc = acc + comb(k, s) * (coeffs[s] * seqs.upper[k - s])
+            acc = acc + comb(k, s) * (coeffs[s] * c[k - s])
         out.append(acc)
     return out

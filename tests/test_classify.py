@@ -521,7 +521,7 @@ class TestKvIdealMatrix:
     def test_later_layers_add_nothing(self, pair, bound):
         n = pair[0].n
         layers = [
-            [c.map(lambda e: e * V**t) for c in pair] for t in range(bound + 1)
+            [c * V**t for c in pair] for t in range(bound + 1)
         ]
         everything = [x for layer in layers for x in layer]
         ideal = cend.classify._kv_ideal_matrix
@@ -601,7 +601,7 @@ class TestKvClosure:
         assert rank_c == len(closure.elements)
         for t in range(1, bound + 1):
             layer = [
-                encode(c.map(lambda e: e * V**t), ambient) for c in closure.elements
+                encode(c * V**t, ambient) for c in closure.elements
             ]
             assert hermite_reduce(layer, ncols).rank == rank_c
 

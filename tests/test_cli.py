@@ -204,6 +204,18 @@ class TestErrorPaths:
             assert status == 2 and out == ""
             assert json.loads(err)["error"] == "MalformedInput"
 
+    @pytest.mark.parametrize(
+        "command,payload",
+        [
+            pytest.param(["hseq"], '"x"', id="hseq-string-payload"),
+            pytest.param(["verify"], '{"bounds": [1]}', id="verify-list-bounds"),
+        ],
+    )
+    def test_non_object_input_exits_two(self, cli, command, payload):
+        status, out, err = cli(command, payload)
+        assert status == 2 and out == ""
+        assert json.loads(err)["error"] == "MalformedInput"
+
     def test_bad_side_exits_two(self, cli):
         payload = '{"x": %s, "Q": [[[[0, "1"]]]], "side": "up"}' % V_ID1
         status, _, err = cli(["ideal-member"], payload)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cend.classify import AutomorphismSpec, apply_autom
 from cend.conformal import (
     ConformalElement,
     bracket,
@@ -326,6 +327,42 @@ class TestSigma:
         assert sigma(a.d_mul()) == -sigma(a).d_mul()
 
 
+def substituted(a, c, d, flip=False, transpose=False):
+    """Oracle for the substitutions, built entrywise by BiPoly ring arithmetic:
+    each term x D^i v^p of an entry becomes x (+-D)^i (v + c D^d)^p, with the
+    sign flipped for odd i when ``flip``; ``transpose`` reads entry (col, r)
+    into (r, col)."""
+    t = V + BiPoly.D(d, c)
+    rows = []
+    for r in range(a.n):
+        row = []
+        for col in range(a.n):
+            out = BiPoly.zero()
+            e = a.entry(col, r) if transpose else a.entry(r, col)
+            for i, p, x in e.items():
+                sign = -1 if flip and i % 2 else 1
+                out = out + BiPoly.D(i, sign * x) * t**p
+            row.append(out)
+        rows.append(row)
+    return ConformalElement(rows)
+
+
+class TestSubstitution:
+    """phi, phi_inv, sigma and the shift of apply_autom all substitute
+    v -> v + c D^d on the coefficient map; each must equal the oracle."""
+
+    @given(
+        st.integers(1, 3).flatmap(lambda n: elements(n=n, max_dv=3)), COEFFICIENTS
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_entrywise_oracle(self, a, alpha):
+        assert phi(a) == substituted(a, 1, 1)
+        assert phi_inv(a) == substituted(a, -1, 1)
+        assert sigma(a) == substituted(a, -1, 1, flip=True, transpose=True)
+        spec = AutomorphismSpec(alpha, PolyMatrix.identity(a.n, "v"))
+        assert apply_autom(a, spec) == substituted(a, alpha, 0)
+
+
 class TestCurrEmbed:
     def test_constant_matrices_multiply_at_zero(self):
         a = curr_embed(PolyMatrix([[1, 2], [0, 1]], "D"))
@@ -348,6 +385,16 @@ class TestCurrEmbed:
         a = curr_embed(PolyMatrix.identity(1, "D"))
         b = curr_embed(PolyMatrix([[du]], "D"))
         assert nproduct(a, 1, b) == ConformalElement.identity(1)
+
+
+class TestCoefficientMap:
+    """Builders that write the (row, col, D-degree, v-degree) map directly."""
+
+    def test_single_rejects_an_entry_outside_the_matrix(self):
+        assert ConformalElement.single(2, 1, 0, V).entry(1, 0) == V
+        for i, j in [(2, 0), (0, 2), (-1, 0)]:
+            with pytest.raises(IndexError):
+                ConformalElement.single(2, i, j, V)
 
 
 class TestMonomialForm:
@@ -386,7 +433,7 @@ class TestMonomialForm:
         a, _ = pair
         form = a._monomial_matrices()
         assert a._monomial_matrices() is form
-        assert ConformalElement._new(a.rows)._monomial_matrices() == form
+        assert ConformalElement(a.rows)._monomial_matrices() == form
 
     @given(same_size_pairs())
     @settings(max_examples=40, deadline=None)
@@ -405,7 +452,7 @@ class TestMonomialForm:
     @settings(max_examples=30, deadline=None)
     def test_eq_and_hash_ignore_the_cache(self, pair):
         a, _ = pair
-        filled, empty = ConformalElement._new(a.rows), ConformalElement._new(a.rows)
+        filled, empty = ConformalElement(a.rows), ConformalElement(a.rows)
         filled._monomial_matrices()
         assert filled == empty and empty == filled
         assert hash(filled) == hash(empty)
@@ -415,7 +462,7 @@ class TestMonomialForm:
     @settings(max_examples=60, deadline=None)
     def test_product_matches_the_entrywise_reference(self, pair):
         a, b = pair
-        assert a * b == ConformalElement._new(_gen_matmul(a.rows, b.rows))
+        assert a * b == ConformalElement(_gen_matmul(a.rows, b.rows))
 
     def test_product_keeps_zero_entries_and_cancellations(self):
         a = ConformalElement([[V, D], [0, 0]])
