@@ -5,7 +5,10 @@ family (a shift of the polynomial variable and a unimodular conjugation),
 extended on the operator side by a third parameter that re-bases the
 translation generator.  On top of them this module builds:
 
-* membership tests for the standard one-sided ideals,
+* membership tests for the standard one-sided ideals, decided over ``k[v]``
+  from the Smith form ``T * Q * U = diag(d_j)``: after ``phi``, an element
+  lies in the left ideal of ``Q`` exactly when column ``j`` of its product
+  with ``U`` is divisible by ``d_j`` in every D-coefficient,
 * a canonical form for the matrix that cuts out a left ideal,
 * closure of a finitely generated subalgebra under all n-products
   (as a finitely encoded fixed-point computation),
@@ -28,6 +31,7 @@ from .conformal import (
     _product_bound,
     _sesquilinear_sweep,
     nproducts,
+    phi,
     phi_inv,
 )
 from .errors import (
@@ -35,14 +39,12 @@ from .errors import (
     DimensionMismatchError,
     InvariantError,
     NotClosedError,
+    SingularMatrixError,
 )
 from .poly import (
     BiPoly,
-    HSubmoduleBasis,
     PolyMatrix,
     UniPoly,
-    _right_divider,
-    divide_right_exact,
     hermite_reduce,
     rat,
     smith_normal_form,
@@ -159,7 +161,8 @@ def left_ideal_member(x: ConformalElement, q: PolyMatrix) -> bool:
     """Whether ``x`` lies in the left ideal of all ``M(D, v) * Q(v - D)``.
 
     Raises :class:`SingularMatrixError` when ``det Q = 0`` (the ideal is not
-    cut out by a regular matrix and exact division cannot decide membership).
+    cut out by a regular matrix, and the Smith-form test needs every
+    invariant factor of ``Q`` to be nonzero).
     """
     if x.n != q.n:
         raise DimensionMismatchError(f"sizes {x.n} and {q.n}")
@@ -167,10 +170,44 @@ def left_ideal_member(x: ConformalElement, q: PolyMatrix) -> bool:
 
 
 def _left_ideal_test(q: PolyMatrix):
-    """``left_ideal_member(., q)`` with ``Q(v - D)``, its determinant and
-    adjugate built once; the returned test takes elements of Q's size."""
-    divide = _right_divider(phi_inv(_lift(q)).rows)
-    return lambda x: divide(x.rows) is not None
+    """``left_ideal_member(., q)`` with Q's Smith form built once; the
+    returned test takes elements of Q's size.  ``phi`` carries
+    ``M(D, v) * Q(v - D)`` to ``M(D, v + D) * Q(v)``."""
+    test = _right_factor_test(q)
+    return lambda x: test(phi(x))
+
+
+def _right_factor_test(q: PolyMatrix):
+    """A test of whether ``y = M(D, v) * Q(v)`` for some ``M``.
+
+    With ``T * Q * U = diag(d_0, ..., d_{N-1})`` and ``T``, ``U``
+    unimodular, ``y = M * Q`` holds exactly when ``y * U = (M * T^{-1}) *
+    diag(d)``, that is when column ``j`` of ``y * U(v)`` is divisible by
+    ``d_j`` in every D-coefficient.  Raises :class:`SingularMatrixError`
+    when ``det Q = 0``.
+    """
+    _, diag, u = smith_normal_form(q)
+    divisors = []  # (d_j, column j of U) for each nonconstant d_j
+    for j in range(q.n):
+        d = diag.entry(j, j)
+        if d.is_zero():
+            raise SingularMatrixError("divisor matrix has zero determinant")
+        if d.degree:
+            divisors.append((d, [u.entry(k, j)._c for k in range(q.n)]))
+
+    def test(y: ConformalElement) -> bool:
+        for d, u_col in divisors:
+            # {(row, D-degree): {v-degree: coefficient}} of column j of y * U
+            col: dict = {}
+            for (r, k, i, p), a in y._c.items():
+                cell = col.setdefault((r, i), {})
+                for e, b in u_col[k].items():
+                    cell[p + e] = cell.get(p + e, 0) + a * b
+            if any(UniPoly._new(c, q.var) % d for c in col.values()):
+                return False
+        return True
+
+    return test
 
 
 def right_ideal_member(x: ConformalElement, p: PolyMatrix) -> bool:
@@ -178,8 +215,7 @@ def right_ideal_member(x: ConformalElement, p: PolyMatrix) -> bool:
     if x.n != p.n:
         raise DimensionMismatchError(f"sizes {x.n} and {p.n}")
     # the entries commute, so P * M = X exactly when M^T * P^T = X^T
-    divisor = _lift(p)
-    return divide_right_exact(x.transpose().rows, divisor.transpose().rows) is not None
+    return _right_factor_test(p.transpose())(x.transpose())
 
 
 def e_nq(n: int, q: PolyMatrix) -> ConformalElement:
@@ -256,7 +292,6 @@ class ClosureResult:
     n: int
     v_deg_bound: int
     elements: tuple[ConformalElement, ...]
-    basis: HSubmoduleBasis
     fixed_point: bool
     overflow: bool
     iterations: int
@@ -374,7 +409,6 @@ def subalgebra_closure(pres: SubalgebraPresentation) -> ClosureResult:
         n=n,
         v_deg_bound=bound,
         elements=tuple(elements),
-        basis=basis,
         fixed_point=fixed_point,
         overflow=overflow,
         iterations=iterations,
@@ -444,33 +478,29 @@ def kv_closure(
     ambient = 2 * bound
     ncols = (ambient + 1) * n * n
 
-    layers: list[list[list[UniPoly]]] = []
-    layer_elems: list[list[ConformalElement]] = []
-    for t in range(bound + 1):
-        elems = []
-        rows = []
-        for c in closure.elements:
-            x = c._mul_monomial(0, t)
-            vec = _encode(x, ambient)
-            if vec is None:
-                raise InvariantError(
-                    f"a v^{t} layer element exceeds the ambient bound {ambient}"
-                )
-            elems.append(x)
-            rows.append(vec)
-        layers.append(rows)
-        layer_elems.append(elems)
+    top = max(c.deg_v for c in closure.elements)
+    if top > bound:  # only a closure computed at a larger bound gets here
+        raise InvariantError(
+            f"a v^{max(0, ambient + 1 - top)} layer element exceeds the "
+            f"ambient bound {ambient}"
+        )
+    # The layer v^t * C encodes to C's rows at the v-bound shifted by
+    # t * N^2 coordinates and padded to the ambient width, so every layer
+    # has the rank of C.
+    rows = [_encode(c, bound) for c in closure.elements]
+    layers = [
+        [[_ZERO_D] * (t * n * n) + r + [_ZERO_D] * ((bound - t) * n * n) for r in rows]
+        for t in range(bound + 1)
+    ]
 
     # Directness of the sum C + vC + v^2 C + ...: compare ranks of each new
-    # layer against the canonical basis of the previous ones.  The layer
-    # v^t * C encodes to C's rows shifted by t * N^2 coordinates, so every
-    # layer has the rank of C.
+    # layer against the canonical basis of the previous ones.
     direct = True
     overlap = False
     prefix = hermite_reduce(layers[0], ncols)
     layer_rank = prefix.rank
-    for t, rows in enumerate(layers[1:], 1):
-        combined = hermite_reduce(list(prefix.rows) + rows, ncols)
+    for t, layer in enumerate(layers[1:], 1):
+        combined = hermite_reduce(list(prefix.rows) + layer, ncols)
         if combined.rank < prefix.rank + layer_rank:
             direct = False
             if t == 1:
@@ -487,23 +517,22 @@ def kv_closure(
     # Extract the ideal matrix from the D=0 specializations of C.  At D = 0
     # the rows of v^t * c are v^t times the rows of c, so the later layers
     # add nothing to the k[v]-row span.
-    q_full = _kv_ideal_matrix(layer_elems[0], n)
+    q_full = _kv_ideal_matrix(list(closure.elements), n)
     if q_full is None:
         raise BoundTooSmallError(
             f"the k[v]-span has rank below {n} at v-degree bound {bound}"
         )
 
-    # Every spanned element must lie in the left ideal the matrix cuts out,
-    # and so must its products with a sample of ambient elements: both checks
-    # are exact statements about the full algebra, not the truncation.
+    # Every element of C must lie in the left ideal the matrix cuts out, and
+    # so must its products with a fixed sample of ambient elements.  The ideal
+    # is closed under v^t * Id, so testing C covers every layer v^t * C.  Each
+    # test decides membership exactly, from the Smith form of the matrix; the
+    # sample, not the test, is what limits the second check.
     samples = _ambient_samples(n)
     member = _left_ideal_test(q_full)
-    for elems in layer_elems:
-        for x in elems:
-            if not member(x):
-                raise BoundTooSmallError(
-                    "spanned element escapes the extracted ideal"
-                )
+    for x in closure.elements:
+        if not member(x):
+            raise BoundTooSmallError("spanned element escapes the extracted ideal")
     for a in samples:
         for x in closure.elements:
             for prod in nproducts(a, x):

@@ -215,6 +215,10 @@ def _cmd_ideal_member(args, payload):
 
 def _cmd_hseq(args, payload):
     action = _object(payload).get("action", "sequences")
+    if action not in ("sequences", "identities", "split", "rebase"):
+        raise ValueError(
+            "field 'action' must be one of sequences, identities, split, rebase"
+        )
     if action == "split":
         w = weyl_from_json(_field(payload, "w"))
         stem, c = split_by_shift(w)
@@ -234,17 +238,13 @@ def _cmd_hseq(args, payload):
             "ok": got.ok,
         }
         return obj, None, 0 if got.ok else 1
-    if action == "rebase":
-        coeffs = _field(payload, "coeffs")
-        if not isinstance(coeffs, list):
-            raise ValueError("field 'coeffs' must be a list")
-        decoded = [unipoly_from_json(c, "p") for c in coeffs]
-        fn = rebase_inverse if _flag(payload, "inverse") else rebase_coefficients
-        out = fn(decoded, h)
-        return {"coeffs": [unipoly_to_json(c) for c in out]}, None, 0
-    raise ValueError(
-        "field 'action' must be one of sequences, identities, split, rebase"
-    )
+    coeffs = _field(payload, "coeffs")
+    if not isinstance(coeffs, list):
+        raise ValueError("field 'coeffs' must be a list")
+    decoded = [unipoly_from_json(c, "p") for c in coeffs]
+    fn = rebase_inverse if _flag(payload, "inverse") else rebase_coefficients
+    out = fn(decoded, h)
+    return {"coeffs": [unipoly_to_json(c) for c in out]}, None, 0
 
 
 def _cmd_verify(args, payload):

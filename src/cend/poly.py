@@ -18,7 +18,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import DimensionMismatchError, NotUnimodularError, SingularMatrixError
+from .errors import DimensionMismatchError, NotUnimodularError
 
 Rational = Fraction
 
@@ -445,54 +445,6 @@ class BiPoly(_Sparse):
             return BiPoly._new(c)
         return _Sparse.__mul__(self, other)
 
-    def dv(self) -> "BiPoly":
-        """Partial derivative in v."""
-        return BiPoly._new({(i, j - 1): j * a for (i, j), a in self._c.items() if j})
-
-    def dd(self) -> "BiPoly":
-        """Partial derivative in D."""
-        return BiPoly._new({(i - 1, j): i * a for (i, j), a in self._c.items() if i})
-
-    def to_uni(self, axis: str) -> UniPoly:
-        """Read off a polynomial supported on one axis (error if mixed)."""
-        if axis == "D":
-            if any(j for (_, j) in self._c):
-                raise ValueError("polynomial involves v")
-            return UniPoly._new({i: a for (i, _), a in self._c.items()}, "D")
-        if axis == "v":
-            if any(i for (i, _) in self._c):
-                raise ValueError("polynomial involves D")
-            return UniPoly._new({j: a for (_, j), a in self._c.items()}, "v")
-        raise ValueError("axis must be 'D' or 'v'")
-
-    def exact_div(self, g: "BiPoly") -> "BiPoly | None":
-        """Quotient self/g when self is a multiple of g, else None.
-
-        Single-divisor division ordered lexicographically with D > v; the
-        first term that g's leading term cannot divide certifies failure.
-        """
-        if not g:
-            raise ZeroDivisionError("polynomial division by zero")
-        gl = max(g._c)
-        glc = g._c[gl]
-        q: dict[tuple[int, int], Fraction] = {}
-        r = dict(self._c)
-        while r:
-            fl = max(r)
-            if fl[0] < gl[0] or fl[1] < gl[1]:
-                return None
-            mono = (fl[0] - gl[0], fl[1] - gl[1])
-            c = r[fl] / glc
-            q[mono] = q[mono] + c if mono in q else c
-            for (i, j), a in g._c.items():
-                k = (i + mono[0], j + mono[1])
-                nv = r[k] - c * a if k in r else -(c * a)
-                if nv:
-                    r[k] = nv
-                else:
-                    r.pop(k, None)
-        return BiPoly._new(q)
-
     def __str__(self) -> str:
         return _pair_str(self.items(), "D", "v")
 
@@ -723,47 +675,6 @@ def unimodular_inverse(q: PolyMatrix) -> PolyMatrix:
         raise NotUnimodularError(f"determinant {d} is not a nonzero constant")
     c = 1 / d.coeff(0)
     return q.adjugate() * c
-
-
-def divide_right_exact(
-    x: Sequence[Sequence], q: Sequence[Sequence]
-) -> list[list] | None:
-    """Solve M * Q = X exactly over the polynomial ring.
-
-    X and Q are square nested sequences of UniPoly or BiPoly entries (Q may
-    have been substituted into the same ring as X by the caller). Returns M,
-    or None when X is not a right multiple of Q. Raises SingularMatrixError
-    when det Q = 0.
-    """
-    if len(x) != len(q):
-        raise DimensionMismatchError(f"sizes {len(x)} and {len(q)}")
-    return _right_divider(q)(x)
-
-
-def _right_divider(q: Sequence[Sequence]):
-    """``divide_right_exact`` by a fixed Q, with det and adjugate built once.
-
-    The returned function takes X of Q's size.  Raises SingularMatrixError
-    when det Q = 0.
-    """
-    d = _gen_det(q)
-    if not d:
-        raise SingularMatrixError("divisor matrix has zero determinant")
-    adj = _gen_adjugate(q)
-
-    def divide(x: Sequence[Sequence]) -> list[list] | None:
-        out = []
-        for row in _gen_matmul(x, adj):
-            orow = []
-            for e in row:
-                m = e.exact_div(d)
-                if m is None:
-                    return None
-                orow.append(m)
-            out.append(orow)
-        return out
-
-    return divide
 
 
 def smith_normal_form(

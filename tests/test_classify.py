@@ -19,7 +19,7 @@ from cend.classify import (
     right_ideal_member,
     subalgebra_closure,
 )
-from cend.conformal import ConformalElement, locality, nproduct, nproducts
+from cend.conformal import ConformalElement, locality, nproduct, nproducts, phi
 import cend.classify
 from cend.errors import (
     BoundTooSmallError,
@@ -68,7 +68,7 @@ def conformal_of(q, arg):
 
 
 @st.composite
-def elements(draw, n=2, max_dd=2, max_dv=2, max_terms=3):
+def elements(draw, n=2, max_dd=2, max_dv=2, max_terms=3, coeff=st.integers(-3, 3)):
     rows = []
     for _ in range(n):
         row = []
@@ -77,14 +77,14 @@ def elements(draw, n=2, max_dd=2, max_dv=2, max_terms=3):
             for _ in range(draw(st.integers(0, max_terms))):
                 i = draw(st.integers(0, max_dd))
                 j = draw(st.integers(0, max_dv))
-                coeffs[(i, j)] = draw(st.integers(-3, 3))
+                coeffs[(i, j)] = draw(coeff)
             row.append(BiPoly(coeffs))
         rows.append(row)
     return ConformalElement(rows)
 
 
 @st.composite
-def unimodular(draw, n=2):
+def unimodular(draw, n=2, coeff=st.integers(-2, 2)):
     """A product of elementary transvections (hence unimodular)."""
     m = PolyMatrix.identity(n, "v")
     for _ in range(draw(st.integers(1, 3))):
@@ -92,7 +92,7 @@ def unimodular(draw, n=2):
         j = draw(st.integers(0, n - 1))
         if i == j:
             continue
-        f = UniPoly({draw(st.integers(0, 1)): draw(st.integers(-2, 2))}, "v")
+        f = UniPoly({draw(st.integers(0, 1)): draw(coeff)}, "v")
         e = PolyMatrix(
             [
                 [
@@ -308,6 +308,108 @@ class TestIdealMembership:
     def test_e_nq_size_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             e_nq(3, PolyMatrix.identity(2, "v"))
+
+
+RATIONAL = st.fractions(-3, 3, max_denominator=3)
+
+
+@st.composite
+def ideal_data(draw):
+    """``Q = P * diag(d) * P'`` with ``P``, ``P'`` unimodular at N <= 3, a near
+    miss ``P * diag(d') * P'``, and a multiplier element of Q's size.
+
+    Each ``d_j`` is ``d_{j-1}`` times up to two factors ``v - r``, up to a
+    nonzero constant, so every invariant factor of Q can be nontrivial, not
+    only the last.  ``d'`` drops the last factor of one ``d_j``, so the near
+    miss's multiples mostly leave Q's ideal through that one factor.
+    """
+    n = draw(st.integers(1, 3))
+    factors, chain = [], []
+    for _ in range(n):
+        roots = draw(st.lists(st.fractions(-2, 2, max_denominator=2), max_size=2))
+        factors = factors + [v - UniPoly.const(r, "v") for r in roots]
+        chain.append(factors)
+    j = draw(st.integers(0, n - 1))
+    near = chain[:j] + [chain[j][:-1]] + chain[j + 1 :]
+    scales = [draw(RATIONAL.filter(bool)) for _ in range(n)]
+    left, right = draw(unimodular(n, RATIONAL)), draw(unimodular(n, RATIONAL))
+
+    def sandwich(fs):
+        diag = []
+        for c, f in zip(scales, fs):
+            d = UniPoly.const(c, "v")
+            for g in f:
+                d = d * g
+            diag.append(d)
+        return left * PolyMatrix.diag(diag, "v") * right
+
+    m = draw(elements(n, max_dd=1, max_dv=1, max_terms=2, coeff=RATIONAL))
+    return sandwich(chain), sandwich(near), m
+
+
+def oracle_member(y, q, left):
+    """Whether every D-coefficient ``Y`` of ``y`` is ``M * Q`` (left) or
+    ``Q * M`` over k[v]: ``Y * adj(Q)`` (or ``adj(Q) * Y``) vanishes modulo
+    ``det Q``."""
+    det, adj = q.det(), q.adjugate()
+    for y_i in y.d_coeffs().values():
+        prod = y_i * adj if left else adj * y_i
+        if any(e % det for row in prod.rows for e in row):
+            return False
+    return True
+
+
+class TestIdealMembershipOracle:
+    """Both membership tests against the adjugate oracle over k[v].
+
+    Members are built from a random multiplier; adding ``c * Id`` leaves the
+    ideal exactly when ``det Q`` is not constant; ``v^t`` multiples of a
+    member stay members.  A random bump and the near miss of
+    :func:`ideal_data` give further non-members for the oracle to decide.
+    """
+
+    @staticmethod
+    def candidates(x, near, data):
+        n = x.n
+        c = data.draw(RATIONAL.filter(bool))
+        bump = unit(
+            n,
+            data.draw(st.integers(0, n - 1)),
+            data.draw(st.integers(0, n - 1)),
+            BiPoly([(data.draw(st.integers(0, 1)), data.draw(st.integers(0, 2)), c)]),
+        )
+        vt = V ** data.draw(st.integers(1, 2))
+        identity = ConformalElement.identity(n) * c
+        return x, x * vt, x + identity, x + bump, (x + bump) * vt, near, near * vt
+
+    @given(ideal_data(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_left_agrees_with_oracle(self, qnm, data):
+        q, near, m = qnm
+        x = m * conformal_of(q, V - D)
+        near_x = m * conformal_of(near, V - D)
+        x, x_vt, x_id, *rest = self.candidates(x, near_x, data)
+        assert left_ideal_member(x, q) and left_ideal_member(x_vt, q)
+        assert left_ideal_member(x_id, q) == (q.det().degree == 0)
+        for y in (x, x_vt, x_id, *rest):
+            assert left_ideal_member(y, q) == oracle_member(phi(y), q, left=True)
+
+    @given(ideal_data(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_right_agrees_with_oracle(self, qnm, data):
+        p, near, m = qnm
+        x = conformal_of(p, V) * m
+        near_x = conformal_of(near, V) * m
+        x, x_vt, x_id, *rest = self.candidates(x, near_x, data)
+        assert right_ideal_member(x, p) and right_ideal_member(x_vt, p)
+        assert right_ideal_member(x_id, p) == (p.det().degree == 0)
+        for y in (x, x_vt, x_id, *rest):
+            assert right_ideal_member(y, p) == oracle_member(y, p, left=False)
+
+    def test_right_singular_divisor(self):
+        pmat = PolyMatrix([[v, v], [v, v]], "v")
+        with pytest.raises(SingularMatrixError, match="zero determinant"):
+            right_ideal_member(ConformalElement.identity(2), pmat)
 
 
 class TestCanonicalizeQ:

@@ -216,6 +216,13 @@ class TestErrorPaths:
         assert status == 2 and out == ""
         assert json.loads(err)["error"] == "MalformedInput"
 
+    def test_bad_hseq_action_is_named_before_missing_h(self, cli):
+        status, out, err = cli(["hseq"], '{"action": ["x"]}')
+        assert status == 2 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "MalformedInput"
+        assert "'action'" in error["message"]
+
     def test_bad_side_exits_two(self, cli):
         payload = '{"x": %s, "Q": [[[[0, "1"]]]], "side": "up"}' % V_ID1
         status, _, err = cli(["ideal-member"], payload)
