@@ -11,7 +11,10 @@ translation generator.  On top of them this module builds:
   with ``U`` is divisible by ``d_j`` in every D-coefficient,
 * a canonical form for the matrix that cuts out a left ideal,
 * closure of a finitely generated subalgebra under all n-products
-  (as a finitely encoded fixed-point computation),
+  (as a finitely encoded fixed-point computation): each product's integer
+  numerators, read from the n-product sweep, are tested for membership in
+  the current ``k[D]``-span by pseudo-division on integers, and only
+  non-members become ``Fraction`` rows for the Hermite reduction,
 * the induced ``k[v]``-span of a closed subalgebra together with a
   directness analysis, and
 * the classification routine that decides whether an irreducible
@@ -322,30 +325,33 @@ def _vector(coords: dict, n: int, v_bound: int) -> list[UniPoly]:
     return vec
 
 
-def _product_vectors(
+def _product_coords(
     a: ConformalElement, b: ConformalElement, v_bound: int
-) -> list[list[UniPoly] | None]:
-    """``_encode(x, v_bound)`` for each nonzero ``x`` in ``nproducts(a, b)``.
+) -> tuple[list[dict[int, dict[int, int]]], int, bool]:
+    """The nonzero products ``nproducts(a, b)`` inside the v-degree bound.
 
-    The coordinates are read from the n-product sweep's integer
-    accumulators, so no product is assembled, and an over-bound product is
-    seen before any of its coefficients becomes a Fraction.
+    Returns ``(coords, den, overflow)``: each product's coordinates (as
+    indexed by :func:`_encode`) in the sparse integer form
+    ``{index: {D-degree: numerator}}`` over the shared denominator ``den``,
+    read straight from the n-product sweep's accumulators, and whether some
+    product exceeded the bound (it is dropped).  Zero products are skipped.
     """
     n = a.n
     accs, den = _sesquilinear_sweep(a, b, range(_product_bound(a, b, False)), False)
-    out: list[list[UniPoly] | None] = []
+    coords = []
+    overflow = False
     for acc in accs:
-        coords: dict[int, dict[int, Fraction]] = {}
+        vec: dict[int, dict[int, int]] = {}
         for (r, c, d, e), x in acc.items():
             if x:
                 if e > v_bound:
-                    out.append(None)
+                    overflow = True
                     break
-                coords.setdefault((e * n + r) * n + c, {})[d] = Fraction(x, den)
+                vec.setdefault((e * n + r) * n + c, {})[d] = x
         else:
-            if coords:
-                out.append(_vector(coords, n, v_bound))
-    return out
+            if vec:
+                coords.append(vec)
+    return coords, den, overflow
 
 
 def _decode(vec: list[UniPoly], n: int) -> ConformalElement:
@@ -384,19 +390,28 @@ def subalgebra_closure(pres: SubalgebraPresentation) -> ClosureResult:
     fresh = list(elements)
     while iterations < pres.iter_bound:
         iterations += 1
-        # non-members in first-seen order; a repeat would be reduced again
-        new_rows: dict[tuple[UniPoly, ...], list[UniPoly]] = {}
+        # non-members in first-seen order, keyed by their set of terms; a
+        # repeat would be reduced again
+        new_rows: dict[frozenset, list[UniPoly]] = {}
         # Pairs with at least one factor from the last wave suffice: older
         # pairs were already reduced against a smaller basis, and bases only
         # grow, so their products stay inside the span.
         pool = [(a, b) for a in fresh for b in elements]
         pool += [(a, b) for a in elements for b in fresh if a not in fresh]
         for a, b in pool:
-            for vec in _product_vectors(a, b, bound):
-                if vec is None:
-                    overflow = True
-                elif not basis.member(vec):
-                    new_rows.setdefault(tuple(vec), vec)
+            products, den, over = _product_coords(a, b, bound)
+            overflow = overflow or over
+            for ints in products:
+                if not basis.member(ints):
+                    coords = {
+                        i: {d: Fraction(x, den) for d, x in p.items()}
+                        for i, p in ints.items()
+                    }
+                    key = frozenset(
+                        (i, d, x) for i, p in coords.items() for d, x in p.items()
+                    )
+                    if key not in new_rows:
+                        new_rows[key] = _vector(coords, n, bound)
         if not new_rows:
             fixed_point = True
             break
@@ -463,9 +478,16 @@ def kv_closure(
     Raises :class:`NotClosedError` when the presentation does not reach a
     fixed point, and :class:`BoundTooSmallError` when the span has rank below
     N or escapes the ideal it extracts at the available v-degree budget.
+    A ``closure`` passed in must have been computed at the presentation's
+    v-degree bound; otherwise :class:`ValueError` names both bounds.
     """
     if closure is None:
         closure = subalgebra_closure(pres)
+    if closure.v_deg_bound != pres.v_deg_bound:
+        raise ValueError(
+            f"closure computed at v-degree bound {closure.v_deg_bound}, "
+            f"presentation has bound {pres.v_deg_bound}"
+        )
     if not closure.fixed_point:
         raise NotClosedError(
             f"no fixed point within {pres.iter_bound} rounds at "
@@ -478,12 +500,6 @@ def kv_closure(
     ambient = 2 * bound
     ncols = (ambient + 1) * n * n
 
-    top = max(c.deg_v for c in closure.elements)
-    if top > bound:  # only a closure computed at a larger bound gets here
-        raise InvariantError(
-            f"a v^{max(0, ambient + 1 - top)} layer element exceeds the "
-            f"ambient bound {ambient}"
-        )
     # The layer v^t * C encodes to C's rows at the v-bound shifted by
     # t * N^2 coordinates and padded to the ambient width, so every layer
     # has the rank of C.

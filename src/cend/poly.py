@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DimensionMismatchError, NotUnimodularError
@@ -790,7 +791,7 @@ class HSubmoduleBasis:
     The form is unique, so equality of bases is equality of submodules.
     """
 
-    __slots__ = ("ncols", "rows", "pivots")
+    __slots__ = ("ncols", "rows", "pivots", "_int_rows")
 
     def __init__(
         self,
@@ -801,29 +802,90 @@ class HSubmoduleBasis:
         self.rows = tuple(tuple(r) for r in rows)
         self.pivots = tuple(pivots)
         self.ncols = ncols
+        self._int_rows: dict | None = None
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def member(self, vec: Sequence[UniPoly]) -> bool:
+    def _integer_rows(self) -> dict:
+        """``{pivot: (L, pivot degree, [(coordinate, {D-degree: numerator})])}``.
+
+        Each row is held as integer numerators over the lcm of its
+        denominators, from its pivot on; ``L`` is the pivot's leading
+        numerator.  Built on first use.
+        """
+        if self._int_rows is None:
+            view = {}
+            for row, pos in zip(self.rows, self.pivots):
+                tail = row[pos:]
+                den = lcm(*(c.denominator for e in tail for c in e._c.values()))
+                entries = [
+                    (i, {d: int(x * den) for d, x in e._c.items()})
+                    for i, e in enumerate(tail, pos)
+                    if e._c
+                ]
+                deg = row[pos].degree
+                view[pos] = (entries[0][1][deg], deg, entries)
+            self._int_rows = view
+        return self._int_rows
+
+    def member(self, vec: Mapping[int, Mapping[int, int]]) -> bool:
         """Does vec lie in the row span over k[D]?
 
-        Clears each pivot of a copy of ``vec`` in turn, reading only the
-        nonzero basis-row entries at or after that pivot.
+        ``vec`` is sparse and integral: ``{coordinate: {D-degree:
+        numerator}}``, the numerators over any one common denominator
+        (which membership does not depend on), absent or zero entries
+        meaning 0.  The test runs on integers by pseudo-division: at the
+        lowest nonzero coordinate, which must be a pivot, the work vector
+        is scaled by ``L / gcd(L, c)`` (``c`` its leading numerator there)
+        and the matching multiple of the row subtracted until the degree
+        drops below the pivot's.  Scaling by a nonzero integer keeps the
+        answer, and every pivot is monic over Q, so a nonzero
+        pseudo-remainder or a coordinate left without a pivot means "not a
+        member", exactly as division over Q would.
         """
-        if len(vec) != self.ncols:
+        work = {}
+        for i, p in vec.items():
+            p = {d: x for d, x in p.items() if x}
+            if p:
+                work[i] = p
+        if work and (min(work) < 0 or max(work) >= self.ncols):
             raise DimensionMismatchError(
-                f"vector has {len(vec)} coordinates, basis has {self.ncols}"
+                f"coordinates {min(work)}..{max(work)} outside a basis of "
+                f"{self.ncols}"
             )
-        work = list(vec)
-        for row, pos in zip(self.rows, self.pivots):
-            if work[pos]:
-                f, r = divmod(work[pos], row[pos])
-                if r:
+        rows = self._integer_rows()
+        while work:
+            pos = min(work)
+            if pos not in rows:
+                return False
+            lead, deg, entries = rows[pos]
+            w = work[pos]
+            while w:
+                top = max(w)
+                if top < deg:
                     return False
-                _sub_multiple(work, f, row, pos)
-        return not any(work)
+                c = w[top]
+                g = gcd(lead, c)
+                scale, f = lead // g, c // g
+                if scale != 1:
+                    for p in work.values():
+                        for d in p:
+                            p[d] *= scale
+                shift = top - deg
+                for i, ent in entries:  # work -= f * D^shift * row
+                    p = work.setdefault(i, {})
+                    for d, x in ent.items():
+                        k = d + shift
+                        y = p.get(k, 0) - f * x
+                        if y:
+                            p[k] = y
+                        else:
+                            del p[k]
+                    if not p:
+                        del work[i]
+        return True
 
     def __iter__(self) -> Iterator[tuple[UniPoly, ...]]:
         return iter(self.rows)

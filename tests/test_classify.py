@@ -580,25 +580,41 @@ def rational_pairs(draw, max_n=3, max_terms=2):
 
 
 class TestProductVectors:
-    """The closure reads coordinates straight from the n-product sweep."""
+    """The closure reads sparse integer coordinates straight from the
+    n-product sweep and tests them for membership on integers."""
+
+    @staticmethod
+    def fractions(coords, den, n, bound):
+        rows = []
+        for ints in coords:
+            over_den = {
+                i: {d: Fraction(x, den) for d, x in p.items()} for i, p in ints.items()
+            }
+            rows.append(cend.classify._vector(over_den, n, bound))
+        return rows
 
     @given(rational_pairs(), st.integers(0, 4))
     @settings(max_examples=80, deadline=None)
     def test_vectors_equal_the_encoded_products(self, pair, bound):
         a, b = pair
         products = [x for x in nproducts(a, b) if not x.is_zero()]
-        got = cend.classify._product_vectors(a, b, bound)
-        assert got == [cend.classify._encode(x, bound) for x in products]
-        assert [vec is None for vec in got] == [x.deg_v > bound for x in products]
+        coords, den, overflow = cend.classify._product_coords(a, b, bound)
+        for ints in coords:
+            assert all(type(x) is int and x for p in ints.values() for x in p.values())
+        encoded = [cend.classify._encode(x, bound) for x in products]
+        assert self.fractions(coords, den, a.n, bound) == [e for e in encoded if e is not None]
+        assert overflow == any(x.deg_v > bound for x in products)
 
-    def test_over_bound_products_are_none(self):
+    def test_over_bound_products_set_overflow(self):
         # v (0) v = v^2 is over bound 1, v (1) v = v is not
         v1 = ConformalElement([[V]])
-        got = cend.classify._product_vectors(v1, v1, 1)
-        assert got == [None, cend.classify._encode(v1, 1)]
+        coords, den, overflow = cend.classify._product_coords(v1, v1, 1)
+        assert overflow
+        assert self.fractions(coords, den, 1, 1) == [cend.classify._encode(v1, 1)]
 
     def test_zero_products_are_skipped(self):
-        assert cend.classify._product_vectors(unit(2, 0, 1), unit(2, 0, 1), 2) == []
+        got = cend.classify._product_coords(unit(2, 0, 1), unit(2, 0, 1), 2)
+        assert got[0] == [] and not got[2]
 
     def test_closure_queues_each_non_member_once(self, monkeypatch):
         # e01 (0) v e10 and v e01 (0) e10 are both v e00, a non-member in the
@@ -664,6 +680,13 @@ class TestKvClosure:
         pres = SubalgebraPresentation(tuple(gens), v_deg_bound=2, iter_bound=1)
         with pytest.raises(NotClosedError):
             kv_closure(pres)
+
+    def test_closure_at_another_bound_is_rejected(self):
+        gens = (ConformalElement.identity(1), ConformalElement.identity(1).v_mul())
+        closure = subalgebra_closure(SubalgebraPresentation(gens, 3, 8))
+        pres = SubalgebraPresentation(gens, 1, 8)
+        with pytest.raises(ValueError, match="bound 3.*bound 1"):
+            kv_closure(pres, closure=closure)
 
     @pytest.mark.parametrize(
         "gens, bound",

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -88,12 +89,12 @@ class TestUniPoly:
 
 
 @st.composite
-def unipolys(draw, var="x", max_deg=4):
+def unipolys(draw, var="x", max_deg=4, coeff=st.integers(-5, 5)):
     n = draw(st.integers(0, 3))
     coeffs = {}
     for _ in range(n):
         d = draw(st.integers(0, max_deg))
-        coeffs[d] = draw(st.integers(-5, 5))
+        coeffs[d] = draw(coeff)
     return UniPoly(coeffs, var)
 
 
@@ -397,6 +398,17 @@ DZ = UniPoly.zero("D")
 D1 = UniPoly.const(1, "D")
 
 
+def ints(vec, scale=1):
+    """A vector of k[D]^L in ``member``'s sparse integer form: ``scale``
+    times its numerators over the lcm of its denominators."""
+    den = lcm(*(c.denominator for e in vec for _, c in e.items()))
+    return {
+        i: {d: scale * c.numerator * (den // c.denominator) for d, c in e.items()}
+        for i, e in enumerate(vec)
+        if e
+    }
+
+
 class TestHermite:
     def test_gcd_combine(self):
         # rows (D^2, D) and (D, 1) span the same module as (D, 1)
@@ -407,8 +419,25 @@ class TestHermite:
 
     def test_membership(self):
         basis = hermite_reduce([[D, DZ], [DZ, D1]])
-        assert basis.member([D * D, UniPoly.const(5, "D")])
-        assert not basis.member([D1, DZ])
+        assert basis.member(ints([D * D, UniPoly.const(5, "D")]))
+        assert not basis.member(ints([D1, DZ]))
+        assert basis.member({})
+
+    def test_membership_needs_scaling(self):
+        # D * (D + 1/2, 1/3) - (0, D/3) = (D^2 + D/2, 0): over the integers
+        # 2D^2 + D is no multiple of the pivot's numerators 6D + 3, but 3
+        # times it is
+        half = UniPoly({0: Fraction(1, 2), 1: 1}, "D")
+        basis = hermite_reduce([[half, UniPoly.const(Fraction(1, 3), "D")], [DZ, D]])
+        assert basis.member({0: {2: 2, 1: 1}})
+        assert not basis.member({0: {2: 2, 1: 1}, 1: {0: 1}})
+        assert not basis.member({0: {1: 2}})
+
+    def test_member_rejects_outside_coordinates(self):
+        basis = hermite_reduce([[D, DZ], [DZ, D1]])
+        for vec in ({2: {0: 1}}, {-1: {0: 1}}):
+            with pytest.raises(DimensionMismatchError):
+                basis.member(vec)
 
     def test_reduction_above_pivot(self):
         # second pivot D^2 should reduce the first row's tail below degree 2
@@ -438,7 +467,7 @@ class TestHermite:
         again = hermite_reduce(basis.rows, ncols=3)
         assert again == basis
         for r in rows:
-            assert basis.member(r)  # generators always lie in the span
+            assert basis.member(ints(r))  # generators always lie in the span
 
     @given(
         st.lists(
@@ -454,50 +483,100 @@ class TestHermite:
         vec = [DZ, DZ]
         for r, c in zip(rows, coeffs):
             vec = [a + c * b for a, b in zip(vec, r)]
-        assert basis.member(vec)
+        assert basis.member(ints(vec))
+
+
+QCOEFF = st.fractions(-3, 3, max_denominator=4)
 
 
 @st.composite
 def sparse_rows(draw, ncols, max_rows=5):
-    """Rows of k[D]^ncols with one to three nonzero coordinates each."""
+    """Rows of k[D]^ncols with rational coefficients.
+
+    Either one to three nonzero coordinates per row, or a staircase: each
+    row leads with a polynomial of degree 2 or 3 in its own column, zeros
+    before, so the canonical basis keeps pivots of degree >= 2.
+    """
+    entry = unipolys(var="D", max_deg=2, coeff=QCOEFF).filter(bool)
+    if draw(st.booleans()):
+        columns = st.sets(st.integers(0, ncols - 1), min_size=1, max_size=max_rows)
+        starts = sorted(draw(columns))
+    else:
+        starts = [None] * draw(st.integers(1, max_rows))
     rows = []
-    for _ in range(draw(st.integers(1, max_rows))):
+    for start in starts:
         row = [DZ] * ncols
-        for i in draw(st.lists(st.integers(0, ncols - 1), min_size=1, max_size=3)):
-            row[i] = draw(unipolys(var="D", max_deg=2).filter(bool))
+        lo = 0 if start is None else start + 1
+        if lo < ncols:
+            least = 1 if start is None else 0
+            cols = st.lists(st.integers(lo, ncols - 1), min_size=least, max_size=3)
+            for i in draw(cols):
+                row[i] = draw(entry)
+        if start is not None:
+            lead = draw(QCOEFF.filter(bool)) * D ** draw(st.integers(2, 3))
+            row[start] = lead + draw(unipolys(var="D", max_deg=1, coeff=QCOEFF))
         rows.append(row)
     return rows
 
 
 class TestSparseMembership:
     """``member`` against re-reduction: v lies in the span exactly when
-    adding it as a generator leaves the canonical basis unchanged.  The
-    sizes reach L = 24, an N = 2 encoding at v-bound 5."""
+    adding it as a generator leaves the canonical basis unchanged.  Bases
+    and vectors are rational, and the sizes reach L = 24, an N = 2 encoding
+    at v-bound 5."""
 
     @given(st.integers(1, 24), st.data())
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=150, deadline=None)
     def test_member_agrees_with_hermite_reduce(self, ncols, data):
         basis = hermite_reduce(data.draw(sparse_rows(ncols)), ncols)
-        vec = [DZ] * ncols
-        for row in basis.rows:
-            c = data.draw(unipolys(var="D", max_deg=2))
-            vec = [a + c * b for a, b in zip(vec, row)]
-        kind = data.draw(st.sampled_from(["combination", "off pivot", "at pivot"]))
-        free = [i for i in range(ncols) if i not in basis.pivots]
+        rows, pivots = basis.rows, basis.pivots
+        # p_j * row_i - row_i[pos_j] * row_j is zero at pos_j: with the
+        # denominators of that entry gone, clearing pivot i takes the
+        # pseudo-division's scaling
+        pairs = [
+            (i, j)
+            for i in range(len(rows))
+            for j in range(i + 1, len(rows))
+            if rows[i][pivots[j]]
+        ]
+        if pairs and data.draw(st.booleans()):
+            i, j = data.draw(st.sampled_from(pairs))
+            pj, cut = rows[j][pivots[j]], rows[i][pivots[j]]
+            vec = [pj * a - cut * b for a, b in zip(rows[i], rows[j])]
+            assert not vec[pivots[j]]
+        else:
+            vec = [DZ] * ncols
+            for row in rows:
+                c = data.draw(unipolys(var="D", max_deg=2, coeff=QCOEFF))
+                vec = [a + c * b for a, b in zip(vec, row)]
+        kind = data.draw(st.sampled_from(["member", "off pivot", "at pivot"]))
+        free = [i for i in range(ncols) if i not in pivots]
         # a unit is no multiple of a pivot of positive degree
-        raised = [p for r, p in zip(basis.rows, basis.pivots) if r[p].degree]
+        raised = [p for r, p in zip(rows, pivots) if r[p].degree]
+        bump = UniPoly.const(data.draw(QCOEFF.filter(bool)), "D")
         if kind == "off pivot" and free:
             i = data.draw(st.sampled_from(free))
-            vec[i] = vec[i] + D1
+            vec[i] = vec[i] + bump
         elif kind == "at pivot" and raised:
             pos = data.draw(st.sampled_from(raised))
-            vec[pos] = vec[pos] + D1
+            vec[pos] = vec[pos] + bump
         else:
-            kind = "combination"
-        before = list(vec)
+            kind = "member"
+        form = ints(vec)
+        before = {i: dict(p) for i, p in form.items()}
 
-        got = basis.member(vec)
+        got = basis.member(form)
 
-        assert vec == before  # the caller's vector is left as it was
-        assert got == (hermite_reduce(list(basis.rows) + [vec], ncols) == basis)
-        assert got == (kind == "combination")
+        assert form == before  # the caller's vector is left as it was
+        assert got == (hermite_reduce(list(rows) + [vec], ncols) == basis)
+        assert got == (kind == "member")
+        # neither a nonzero integer factor nor dividing out the numerators'
+        # content moves the answer
+        scale = data.draw(st.integers(-4, 4).filter(bool))
+        assert basis.member(ints(vec, scale)) == got
+        content = gcd(*(x for p in form.values() for x in p.values()))
+        if content:
+            primitive = {
+                i: {d: x // content for d, x in p.items()} for i, p in form.items()
+            }
+            assert basis.member(primitive) == got
