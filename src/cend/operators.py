@@ -346,12 +346,6 @@ def orbit_density_check(
         reason = "degree bound too small for the operator pool"
         return DensityResult("Unknown", reason, c, deg_bound, n_bound)
 
-    p_id = WeylMatrix(
-        [
-            [WeylElement.p() if i == j else WeylElement.zero() for j in range(size)]
-            for i in range(size)
-        ]
-    )
     for k in range(size):
         span = _SpanBuilder()
         start: Vector = {(k, 0): Fraction(1)}
@@ -361,7 +355,7 @@ def orbit_density_check(
                 if not vec or max(d for (_, d) in vec) > deg_bound:
                     break
                 span.insert(vec)
-                vec = _apply_op(p_id, vec)
+                vec = {(l, d + 1): x for (l, d), x in vec.items()}  # times p
         for l in range(size):
             for j in range(target_deg + 1):
                 if not span.contains({(l, j): Fraction(1)}):

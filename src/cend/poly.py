@@ -321,18 +321,6 @@ class UniPoly(_Sparse):
                 c[k] = c[k] + t if k in c else t
         return UniPoly._new(c, self.var)
 
-    def compose(self, inner: "UniPoly") -> "UniPoly":
-        """Substitute the variable by `inner` (result takes inner's tag)."""
-        degs = sorted(self._c, reverse=True)  # Horner over descending degrees
-        if not degs:
-            return UniPoly.zero(inner.var)
-        prev = degs[0]
-        out = UniPoly.const(self._c[prev], inner.var)
-        for d in degs[1:]:
-            out = out * inner ** (prev - d) + UniPoly.const(self._c[d], inner.var)
-            prev = d
-        return out * inner**prev
-
     def retag(self, var: str) -> "UniPoly":
         return self if var == self.var else UniPoly._new(self._c, var)
 

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cend.classify import (
@@ -30,7 +30,7 @@ from cend.errors import (
     SingularMatrixError,
 )
 from cend.operators import symbol
-from cend.poly import BiPoly, PolyMatrix, UniPoly, hermite_reduce
+from cend.poly import BiPoly, PolyMatrix, UniPoly, hermite_reduce, smith_normal_form
 from cend.verify import verify_suite
 from cend.weyl import WeylElement, WeylMatrix, q_valuation
 
@@ -411,6 +411,17 @@ class TestIdealMembershipOracle:
         with pytest.raises(SingularMatrixError, match="zero determinant"):
             right_ideal_member(ConformalElement.identity(2), pmat)
 
+    @given(ideal_data())
+    @settings(max_examples=30, deadline=None)
+    def test_left_products_stay_in_the_ideal(self, qnm):
+        """The left ideal absorbs every n-product from the left, so
+        ``kv_closure`` tests only the closure's own elements."""
+        q, _, m = qnm
+        x = m * conformal_of(q, V - D)
+        for a in cend.classify._ambient_samples(q.n):
+            for prod in nproducts(a, x):
+                assert prod.is_zero() or left_ideal_member(prod, q)
+
 
 class TestCanonicalizeQ:
     def test_jordan_block(self):
@@ -646,6 +657,31 @@ class TestKvIdealMatrix:
         assert ideal(layers[0], n) == ideal(everything, n)
 
 
+def all_layers_directness(closure):
+    """Directness from the rank of every layer sum ``C + vC + ... + v^t C``
+    up to the bound, each layer encoded from ``c * v^t`` directly."""
+    n, bound = closure.n, closure.v_deg_bound
+    ambient = 2 * bound
+    ncols = (ambient + 1) * n * n
+    encode = cend.classify._encode
+    layers = [
+        [encode(c * V**t, ambient) for c in closure.elements]
+        for t in range(bound + 1)
+    ]
+    direct, overlap = True, False
+    prefix = hermite_reduce(layers[0], ncols)
+    layer_rank = prefix.rank
+    for t, layer in enumerate(layers[1:], 1):
+        combined = hermite_reduce(list(prefix.rows) + layer, ncols)
+        if combined.rank < prefix.rank + layer_rank:
+            direct = False
+            overlap = overlap or t == 1
+        prefix = combined
+    if overlap:
+        return "Overlap"
+    return "Direct" if direct else "NonDirectNoOverlap"
+
+
 class TestKvClosure:
     def test_current_is_direct_with_unit_ideal(self):
         gens = [unit(2, i, j) for i in range(2) for j in range(2)]
@@ -674,6 +710,46 @@ class TestKvClosure:
         got = kv_closure(pres)
         assert got.directness == "Overlap"
         assert got.ideal_q == q
+
+    def test_element_outside_the_extracted_ideal_is_bound_too_small(self):
+        # C is the k[D]-span of v and v^2, whose D = 0 rows give Q = (v);
+        # but v itself is no multiple M(D, v) * (v - D)
+        pres = SubalgebraPresentation(
+            (ConformalElement([[-V]]),), v_deg_bound=2, iter_bound=4
+        )
+        with pytest.raises(
+            BoundTooSmallError, match="spanned element escapes the extracted ideal"
+        ):
+            kv_closure(pres)
+
+    def test_rank_below_n_is_bound_too_small(self):
+        pres = SubalgebraPresentation((unit(2, 0, 0),), v_deg_bound=2, iter_bound=4)
+        with pytest.raises(
+            BoundTooSmallError, match="the k\\[v\\]-span has rank below 2"
+        ):
+            kv_closure(pres)
+
+    @given(
+        st.integers(1, 2).flatmap(
+            lambda n: st.lists(
+                elements(n, max_dd=1, max_dv=1, max_terms=2, coeff=st.integers(-2, 2)),
+                min_size=1,
+                max_size=2,
+            )
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_directness_matches_the_all_layers_ranks(self, gens):
+        """Stopping at the first layer that adds less than rank C gives the
+        verdict of ranking every layer sum up to the bound."""
+        pres = SubalgebraPresentation(tuple(gens), v_deg_bound=2, iter_bound=4)
+        closure = subalgebra_closure(pres)
+        assume(closure.fixed_point and closure.elements)
+        try:
+            got = kv_closure(pres, closure=closure)
+        except BoundTooSmallError:
+            assume(False)
+        assert got.directness == all_layers_directness(closure)
 
     def test_not_closed_raises(self):
         gens = [unit(2, 0, 0), unit(2, 0, 1), unit(2, 1, 0)]
@@ -729,6 +805,22 @@ class TestKvClosure:
                 encode(c * V**t, ambient) for c in closure.elements
             ]
             assert hermite_reduce(layer, ncols).rank == rank_c
+
+
+class TestConjugationWitness:
+    @given(
+        st.integers(1, 3).flatmap(lambda n: unimodular(n)),
+        st.lists(st.integers(-2, 2), max_size=2),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_unimodular_multiple_divides_exactly(self, u, lower):
+        """A square matrix with Smith form ``f * I`` is ``f`` times a
+        unimodular matrix, so the witness search divides by ``f`` once."""
+        f = UniPoly({len(lower): 1, **dict(enumerate(lower))}, "v")
+        p_mat = u * f
+        _, diag, _ = smith_normal_form(p_mat)
+        assert diag == PolyMatrix.diag([f] * u.n, "v")
+        assert p_mat.map(lambda e: e // f) == u
 
 
 class TestClassify:

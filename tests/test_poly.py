@@ -66,12 +66,6 @@ class TestUniPoly:
         assert (X * X).shift(1) == up({2: 1, 1: 2, 0: 1})
         assert (X * X).shift(-1).shift(1) == X * X
 
-    def test_compose(self):
-        # (x^2 + 1) at x = v - 2
-        v = UniPoly.gen("v")
-        got = (X * X + ONE).compose(v - UniPoly.const(2, "v"))
-        assert got == UniPoly({2: 1, 1: -4, 0: 5}, "v")
-
     def test_derivative(self):
         assert (X ** 3).derivative() == up({2: 3})
 
