@@ -472,12 +472,19 @@ def kv_closure(
     """Span a closed subalgebra by ``k[v]`` and identify the resulting ideal.
 
     Raises :class:`NotClosedError` when the presentation does not reach a
-    fixed point, and :class:`BoundTooSmallError` when the span has rank below
-    N or some element of ``C`` escapes the ideal it extracts at the available
-    v-degree budget.
+    fixed point, and :class:`BoundTooSmallError` when a generator lies above
+    the v-degree bound (the closure would drop it), the span has rank below
+    N, or some element of ``C`` escapes the ideal it extracts at the
+    available v-degree budget.
     A ``closure`` passed in must have been computed at the presentation's
     v-degree bound; otherwise :class:`ValueError` names both bounds.
     """
+    top = max((g.deg_v or 0 for g in pres.generators), default=0)
+    if top > pres.v_deg_bound:
+        raise BoundTooSmallError(
+            f"a generator has v-degree {top} above the v-degree bound "
+            f"{pres.v_deg_bound}"
+        )
     if closure is None:
         closure = subalgebra_closure(pres)
     if closure.v_deg_bound != pres.v_deg_bound:

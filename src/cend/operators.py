@@ -14,6 +14,13 @@ fit_differential_sequence recovering the list from sampled operators),
 implements the action of operator matrices back on elements, checks the
 composition rules that make the correspondence multiplicative, and runs the
 orbit-density certificate used as a precondition for classification.
+
+That certificate applies the operator pool once to each constant basis
+vector e_k. Since q kills constants, a(n) e_k is column k of A_n, that is of
+a's D^n coefficient up to the scalar (-1)^n n!, so the pool is read straight
+off the words' coefficient maps: for n <= n_bound, those columns and their
+p-multiples up to the degree bound must span every p^j e_l with
+j <= deg_bound - c, where c is the largest v-degree among the coefficients.
 """
 
 from __future__ import annotations
@@ -229,25 +236,6 @@ def verify_composition(
 Vector = dict[tuple[int, int], Fraction]  # (component, p-degree) -> coeff
 
 
-def _apply_op(w: WeylMatrix, vec: Vector) -> Vector:
-    out: Vector = {}
-    for (comp, t), c in vec.items():
-        for r in range(w.n):
-            e = w.entry(r, comp)
-            for dp, dq, a in e.items():
-                f = _falling(t, dq)
-                if not f:
-                    continue
-                key = (r, t - dq + dp)
-                term = c * a * f
-                nv = out[key] + term if key in out else term
-                if nv:
-                    out[key] = nv
-                else:
-                    out.pop(key, None)
-    return out
-
-
 class _SpanBuilder:
     """Incremental row reduction over Q for sparse vectors."""
 
@@ -287,9 +275,10 @@ class _SpanBuilder:
 class DensityResult:
     """Verdict of the orbit-density certificate with the bounds behind it.
 
-    ``c`` is the largest degree gain of the operator pool; it and the two
-    bounds are ``None`` when no pool was built, ``reason`` is ``None`` exactly
-    when the verdict is Dense.
+    ``c`` is the largest v-degree among the words' D^n coefficients with
+    n <= n_bound (0 when there are none); it and the two bounds are ``None``
+    when no pool was built, ``reason`` is ``None`` exactly when the verdict
+    is Dense.
     """
 
     verdict: str
@@ -306,12 +295,15 @@ def orbit_density_check(
 ) -> DensityResult:
     """Certify that the operators act densely on V_N = k[p]^N.
 
-    The operator pool consists of the symbols (n <= n_bound) of all words of
-    length <= 2 in the generators, premultiplied by powers of p up to the
-    degree bound. For each standard basis vector the span of its orbit must
-    contain every p^j e_l with j <= deg_bound - c, where c is the largest
-    p-vs-q degree gain any pool operator term can produce. Returns a verdict
-    of Dense or Unknown (a bounded search can never certify a negative).
+    The operator pool consists of the symbols a(n), n <= n_bound, of all
+    words a of length <= 2 in the generators, premultiplied by powers of p.
+    It is applied once to each standard basis vector e_k, whose image under
+    a(n) is column k of a's D^n coefficient (up to a nonzero scalar). Those
+    columns and their p-multiples of degree <= deg_bound must span every
+    p^j e_l with j <= deg_bound - c, where c is the largest v-degree among
+    the coefficients read. Returns a verdict of Dense or Unknown (a bounded
+    search can never certify a negative); the pool is "too small" when it
+    reads no coefficient or deg_bound < c.
     """
     if not generators:
         return DensityResult("Unknown", "no generators")
@@ -327,32 +319,25 @@ def orbit_density_check(
                 if not w.is_zero() and w not in words:
                     words.append(w)
 
-    ops: list[WeylMatrix] = []
-    shift = 0
-    for w in words:
-        seq = element_sequence(w)
-        for n in range(n_bound + 1):
-            s = seq.operator(n)
-            if s.is_zero():
-                continue
-            ops.append(s)
-            for i in range(size):
-                for j in range(size):
-                    for dp, dq, _ in s.entry(i, j).items():
-                        shift = max(shift, dp - dq)
-    c = shift
+    # columns[k][(word, n)] is the pool's image of e_k: column k of the
+    # word's D^n coefficient, up to the nonzero scalar (-1)^n n!
+    columns: list[dict[tuple[int, int], Vector]] = [{} for _ in range(size)]
+    c = 0
+    for i, w in enumerate(words):
+        for (r, k, n, e), x in w._c.items():
+            if n <= n_bound:
+                columns[k].setdefault((i, n), {})[(r, e)] = x
+                c = max(c, e)
     target_deg = deg_bound - c
-    if target_deg < 0 or not ops:
+    if target_deg < 0 or not any(columns):
         reason = "degree bound too small for the operator pool"
         return DensityResult("Unknown", reason, c, deg_bound, n_bound)
 
-    for k in range(size):
+    for k, column in enumerate(columns):
         span = _SpanBuilder()
-        start: Vector = {(k, 0): Fraction(1)}
-        for op in ops:
-            vec = _apply_op(op, start)
+        for vec in column.values():
             for _ in range(deg_bound + 1):
-                if not vec or max(d for (_, d) in vec) > deg_bound:
+                if max(d for (_, d) in vec) > deg_bound:
                     break
                 span.insert(vec)
                 vec = {(l, d + 1): x for (l, d), x in vec.items()}  # times p

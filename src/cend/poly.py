@@ -21,8 +21,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DimensionMismatchError, NotUnimodularError
 
-Rational = Fraction
-
 Scalar = int | Fraction
 
 

@@ -117,16 +117,6 @@ def weyl_mul(a: WeylElement, b: WeylElement) -> WeylElement:
     return WeylElement._new(c)
 
 
-def weyl_dq(a: WeylElement) -> WeylElement:
-    """Formal derivative in q; equals the commutator a*p - p*a."""
-    return WeylElement._new({(i, j - 1): j * c for (i, j), c in a._c.items() if j})
-
-
-def weyl_dp(a: WeylElement) -> WeylElement:
-    """Formal derivative in p; equals the commutator q*a - a*q."""
-    return WeylElement._new({(i - 1, j): i * c for (i, j), c in a._c.items() if i})
-
-
 def weyl_endo(a: WeylElement, alpha: Scalar, h: UniPoly) -> WeylElement:
     """Apply the algebra endomorphism p -> p + alpha, q -> q - h(p).
 
@@ -155,7 +145,7 @@ class WeylMatrix(_Matrix):
     """Square matrix over the Weyl algebra.
 
     The entry ring is noncommutative, so only rational scalars multiply
-    directly; ``lscale`` and ``rscale`` multiply by an element on one side.
+    directly; to multiply by an element w on one side, multiply by w * Id.
     """
 
     __slots__ = ()
@@ -180,14 +170,6 @@ class WeylMatrix(_Matrix):
         return cls._new(
             [[WeylElement.from_poly(e, axis) for e in r] for r in m.rows]
         )
-
-    def lscale(self, w: WeylElement) -> "WeylMatrix":
-        """Entrywise left multiplication by w (= (w*Id) * self)."""
-        return self.map(lambda e: weyl_mul(w, e))
-
-    def rscale(self, w: WeylElement) -> "WeylMatrix":
-        """Entrywise right multiplication by w."""
-        return self.map(lambda e: weyl_mul(e, w))
 
 
 def q_valuation(a: "WeylElement | WeylMatrix") -> int | None:

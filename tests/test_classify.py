@@ -751,6 +751,15 @@ class TestKvClosure:
             assume(False)
         assert got.directness == all_layers_directness(closure)
 
+    def test_generator_above_the_bound_is_bound_too_small(self):
+        # the closure would drop v^3 and span only the scalar current
+        gens = (ConformalElement.identity(1), ConformalElement([[V**3]]))
+        pres = SubalgebraPresentation(gens, v_deg_bound=1, iter_bound=4)
+        with pytest.raises(
+            BoundTooSmallError, match="v-degree 3 above the v-degree bound 1"
+        ):
+            kv_closure(pres)
+
     def test_not_closed_raises(self):
         gens = [unit(2, 0, 0), unit(2, 0, 1), unit(2, 1, 0)]
         pres = SubalgebraPresentation(tuple(gens), v_deg_bound=2, iter_bound=1)
@@ -896,6 +905,30 @@ class TestClassify:
         assert got.verdict == "LeftIdeal"
         assert got.ideal_q == PolyMatrix([[v * v]], "v")
         assert not got.alarm
+
+    @pytest.mark.parametrize(
+        "top, bound",
+        [(V**3, 1), (V**3, 2), (V**2 - D, 1)],
+        ids=["v3-bound1", "v3-bound2", "v2-minus-d-bound1"],
+    )
+    def test_generator_above_the_bound_stays_unknown(self, top, bound):
+        """A generator the closure drops must not leave a current algebra
+        to certify."""
+        gens = (ConformalElement.identity(1), ConformalElement([[top]]))
+        got = classify_irreducible(SubalgebraPresentation(gens, bound))
+        assert got.verdict == "Unknown"
+        assert got.reason == (
+            f"a generator has v-degree {top.deg_v} above the v-degree bound {bound}"
+        )
+
+    @pytest.mark.parametrize(
+        "top, bound", [(V**3, 3), (V**2 - D, 2)], ids=["v3-bound3", "v2-minus-d-bound2"]
+    )
+    def test_generator_inside_the_bound_gives_the_unit_ideal(self, top, bound):
+        gens = (ConformalElement.identity(1), ConformalElement([[top]]))
+        got = classify_irreducible(SubalgebraPresentation(gens, bound))
+        assert got.verdict == "LeftIdeal"
+        assert got.ideal_q == PolyMatrix.identity(1, "v")
 
     def test_non_dense_input_is_refused(self):
         # the corner unit alone acts reducibly; no positive verdict allowed

@@ -57,6 +57,18 @@ CONJUGATED_CURRENT = (
 # Density certificates: the N=1 identity is Dense; v*Id_1 is Unknown with c.
 IDENTITY_1 = '{"generators":[{"N":1,"entries":[[[[0,0,"1"]]]]}]}'
 V_ID1 = '{"generators":[{"N":1,"entries":[[[[0,1,"1"]]]]}]}'
+# The upper-triangular current algebra e00, e01, e11 at N=2: the orbit of e_0
+# stays in component 0, so the certificate names that miss.
+UPPER_TRIANGULAR = (
+    '{"generators":['
+    '{"N":2,"entries":[[[[0,0,"1"]],[]],[[],[]]]},'
+    '{"N":2,"entries":[[[],[[0,0,"1"]]],[[],[]]]},'
+    '{"N":2,"entries":[[[],[]],[[],[[0,0,"1"]]]]}'
+    "]}"
+)
+# 1 + D^2 v^3 at --n 0: only the D^0 coefficient is read, so c is 0 and the
+# D^2 term neither enters the pool nor raises c.
+N_BOUND_CUT = '{"generators":[{"N":1,"entries":[[[[0,0,"1"],[2,3,"1"]]]]}]}'
 
 CASES = [
     ("nproduct.txt", ["nproduct", "--n", "1"], V_ID1_PAIR),
@@ -74,6 +86,8 @@ CASES = [
     ("density_identity.txt", ["density", "--deg-bound", "4", "--n", "2"], IDENTITY_1),
     ("density_v_id1.txt", ["density", "--deg-bound", "3", "--n", "3"], V_ID1),
     ("density_no_generators.txt", ["density"], '{"generators": []}'),
+    ("density_upper_triangular.txt", ["density"], UPPER_TRIANGULAR),
+    ("density_n_bound_cut.txt", ["density", "--deg-bound", "2", "--n", "0"], N_BOUND_CUT),
     ("hseq_identities.txt", ["hseq", "--n", "4"], '{"action": "identities", "h": [[1, "1"]]}'),
 ]
 

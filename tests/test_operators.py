@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cend.conformal import ConformalElement, nproduct, v_id, d_id
+from cend.conformal import ConformalElement, _falling, nproduct, nproducts, v_id, d_id
 from cend.errors import InsufficientSamplesError, NotDifferentialError
 from cend.operators import (
+    DensityResult,
     DifferentialSequence,
     OperatorSample,
     act,
@@ -16,6 +17,7 @@ from cend.operators import (
     reconstruct,
     symbol,
     verify_composition,
+    _SpanBuilder,
 )
 from cend.poly import BiPoly, PolyMatrix, UniPoly
 from cend.weyl import WeylElement, WeylMatrix
@@ -200,7 +202,76 @@ def curr_generators(n):
     return out
 
 
+def pool_density_reference(generators, deg_bound, n_bound):
+    """The orbit-density check with its pool built as operators: every symbol
+    a(n), n <= n_bound, of every word applied to each e_k term by term, and c
+    the largest p-degree minus q-degree over all operator terms."""
+    if not generators:
+        return DensityResult("Unknown", "no generators")
+    size = generators[0].n
+    words = [g for g in generators if not g.is_zero()]
+    for g1 in generators:
+        for g2 in generators:
+            for w in nproducts(g1, g2)[: n_bound + 1]:
+                if not w.is_zero() and w not in words:
+                    words.append(w)
+    ops = [element_sequence(w).operator(n) for w in words for n in range(n_bound + 1)]
+    ops = [op for op in ops if not op.is_zero()]
+    c = max(
+        [0]
+        + [dp - dq for op in ops for row in op.rows for e in row for dp, dq, _ in e.items()]
+    )
+    if deg_bound < c or not ops:
+        reason = "degree bound too small for the operator pool"
+        return DensityResult("Unknown", reason, c, deg_bound, n_bound)
+    for k in range(size):
+        span = _SpanBuilder()
+        for op in ops:
+            vec = {}
+            for r in range(size):
+                for dp, dq, a in op.entry(r, k).items():
+                    term = a * _falling(0, dq)  # p^dp q^dq applied to p^0
+                    if term:
+                        vec[(r, dp - dq)] = vec.get((r, dp - dq), 0) + term
+            vec = {key: x for key, x in vec.items() if x}
+            while vec and max(d for (_, d) in vec) <= deg_bound:
+                span.insert(vec)
+                vec = {(l, d + 1): x for (l, d), x in vec.items()}
+        for l in range(size):
+            for j in range(deg_bound - c + 1):
+                if not span.contains({(l, j): Fraction(1)}):
+                    reason = f"orbit of basis vector {k} misses degree {j} in component {l}"
+                    return DensityResult("Unknown", reason, c, deg_bound, n_bound)
+    return DensityResult("Dense", None, c, deg_bound, n_bound)
+
+
+def density_generators(n):
+    """1-4 generators of size n: matrix units, which make Dense verdicts
+    common, mixed with random elements of D- and v-degree <= 3 (some zero)."""
+    unit = st.builds(
+        lambda i, j: ConformalElement.single(n, i, j, BiPoly.const(1)),
+        st.integers(0, n - 1),
+        st.integers(0, n - 1),
+    )
+    return st.lists(
+        st.one_of(unit, elements(n, max_dd=3, max_dv=3)), min_size=1, max_size=4
+    )
+
+
 class TestDensity:
+    @given(
+        st.integers(1, 3).flatmap(density_generators),
+        st.integers(0, 7),
+        st.integers(0, 6),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_operator_pool(self, gens, deg_bound, n_bound):
+        """Reading the pool off the D^n coefficients gives the verdict, c
+        and reason of applying every pool operator to e_k."""
+        assert orbit_density_check(gens, deg_bound, n_bound) == pool_density_reference(
+            gens, deg_bound, n_bound
+        )
+
     def test_scalar_current(self):
         res = orbit_density_check([ConformalElement.identity(1)], 4, 2)
         assert res.verdict == "Dense"

@@ -19,8 +19,6 @@ from cend.weyl import (
     rebase_inverse,
     split_by_shift,
     verify_h_identities,
-    weyl_dp,
-    weyl_dq,
     weyl_endo,
     weyl_mul,
 )
@@ -70,7 +68,7 @@ class TestKernelInvariant:
     @given(weyl_elements(), weyl_elements(), st.fractions(-3, 3, max_denominator=4))
     def test_element_results(self, a, b, c):
         results = [a + b, a - b, a - a, -a, weyl_mul(a, b), a * b, a * c, c * a]
-        results += [a * 0, a**2, weyl_dq(a), weyl_dp(a), q_truncate(a, 2)]
+        results += [a * 0, a**2, q_truncate(a, 2)]
         results += [split_by_shift(a)[0], weyl_endo(a, c, UniPoly.gen("p"))]
         for w in results:
             assert_well_formed(w)
@@ -84,9 +82,8 @@ class TestKernelInvariant:
                 [[data.draw(weyl_elements(2, 2)) for _ in range(n)] for _ in range(n)]
             )
 
-        x, y, w = draw(), draw(), data.draw(weyl_elements(2, 2))
-        for m in [x * y, x + y, x - y, -x, 2 * x, x.lscale(w), x.rscale(w),
-                  x.transpose(), x.map(weyl_dq), q_truncate(x, 1)]:
+        x, y = draw(), draw()
+        for m in [x * y, x + y, x - y, -x, 2 * x, x.transpose(), q_truncate(x, 1)]:
             assert_matrix_well_formed(m)
 
     @pytest.mark.parametrize(
@@ -134,28 +131,6 @@ class TestWeylMul:
     @settings(max_examples=40, deadline=None)
     def test_distributes(self, a, b, c):
         assert a * (b + c) == a * b + a * c
-
-
-class TestDerivations:
-    def test_examples(self):
-        a = WeylElement([(1, 2, 1)])  # p q^2
-        assert weyl_dq(a) == WeylElement([(1, 1, 2)])
-        assert weyl_dp(a) == WeylElement([(0, 2, 1)])
-
-    @given(weyl_elements())
-    @settings(max_examples=50, deadline=None)
-    def test_dq_is_commutator_with_p(self, a):
-        assert weyl_dq(a) == a * P - P * a
-
-    @given(weyl_elements())
-    @settings(max_examples=50, deadline=None)
-    def test_dp_is_commutator_with_q(self, a):
-        assert weyl_dp(a) == Q * a - a * Q
-
-    @given(weyl_elements(), weyl_elements())
-    @settings(max_examples=40, deadline=None)
-    def test_dq_leibniz(self, a, b):
-        assert weyl_dq(a * b) == weyl_dq(a) * b + a * weyl_dq(b)
 
 
 class TestValuation:
@@ -308,8 +283,3 @@ class TestWeylMatrix:
         b = WeylMatrix([[P, 0], [0, ONE]])
         assert (a * b).entry(0, 0) == P * Q + ONE
         assert (b * a).entry(0, 0) == P * Q
-
-    def test_scales(self):
-        m = WeylMatrix([[P, 0], [0, Q]])
-        assert m.lscale(Q).entry(0, 0) == Q * P
-        assert m.rscale(Q).entry(0, 0) == P * Q
