@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .conformal import (
     ConformalElement,
@@ -103,6 +104,13 @@ class AutomorphismSpec:
     def n(self) -> int:
         return self.q.n
 
+    @cached_property
+    def q_inv(self) -> PolyMatrix:
+        """``Q^{-1}`` over ``k[v]``, computed once per spec; not a field, so
+        equality and hashing ignore it.  Raises NotUnimodularError when
+        ``Q`` is not unimodular."""
+        return unimodular_inverse(self.q)
+
 
 def compose_autom(t1: AutomorphismSpec, t2: AutomorphismSpec) -> AutomorphismSpec:
     """The spec acting like ``t1`` followed by ``t2``.
@@ -136,19 +144,15 @@ def apply_autom(a: ConformalElement, t: AutomorphismSpec) -> ConformalElement:
         raise ValueError("subalgebra-level transforms require h = 0")
     if a.n != t.n:
         raise DimensionMismatchError(f"sizes {a.n} and {t.n}")
-    q_inv = _lift(unimodular_inverse(t.q))
-    return q_inv * a._subst_v(t.alpha, 0) * phi_inv(_lift(t.q))
+    return _lift(t.q_inv) * a._subst_v(t.alpha, 0) * phi_inv(_lift(t.q))
 
 
 def apply_autom_weyl(w: WeylMatrix, t: AutomorphismSpec) -> WeylMatrix:
     """Image of an operator matrix: ``Q^{-1}(p) * w(p + alpha, q - h(p)) * Q(p)``."""
     if w.n != t.n:
         raise DimensionMismatchError(f"sizes {w.n} and {t.n}")
-    qp = t.q.retag("p")
-    q_inv = WeylMatrix.from_poly_matrix(unimodular_inverse(qp))
-    q_right = WeylMatrix.from_poly_matrix(qp)
-    moved = w.map(lambda e: weyl_endo(e, t.alpha, t.h))
-    return q_inv * moved * q_right
+    q_inv = WeylMatrix.from_poly_matrix(t.q_inv)
+    return q_inv * weyl_endo(w, t.alpha, t.h) * WeylMatrix.from_poly_matrix(t.q)
 
 
 # --------------------------------------------------------------------------
@@ -670,12 +674,13 @@ def classify_irreducible(
         list(pres.generators), deg_bound=deg_bound, n_bound=n_bound
     )
     if density.verdict != "Dense":
-        return Classification(
-            verdict="Unknown",
-            bound=bound,
-            reason="irreducibility precondition not established: "
-            + density.reason,
-        )
+        reason = "irreducibility precondition not established: " + density.reason
+        if density.c is not None and density.c > deg_bound:
+            reason += (
+                f" (density degree bound {deg_bound} is below the operator "
+                f"pool's gain {density.c})"
+            )
+        return Classification(verdict="Unknown", bound=bound, reason=reason)
 
     closure = subalgebra_closure(pres)
     try:

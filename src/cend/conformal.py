@@ -36,63 +36,24 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial, lcm
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .errors import CheckResult, DimensionMismatchError
-from .poly import BiPoly, PolyMatrix, Scalar, UniPoly, _Sparse
+from .poly import BiPoly, PolyMatrix, Scalar, UniPoly, _Sparse, _SparseMatrix
 
 
-class ConformalElement(_Sparse):
+class ConformalElement(_SparseMatrix):
     """Square matrix over k[D, v].
 
-    ``_c`` is the coefficient map of the module docstring and the size ``n``
-    is the tag that sums and differences check; ``rows`` and ``entry`` build
+    ``_c`` is the coefficient map of the module docstring, on the sparse
+    matrix core that ``WeylMatrix`` shares; ``rows`` and ``entry`` build
     ``BiPoly`` entries on demand.  Elements are immutable; the integer
     monomial form that products and degrees read is computed on first use
     and kept in ``_form``, which equality and hashing ignore.
     """
 
-    __slots__ = ("n", "_form")
-
-    def __init__(self, rows: Sequence[Sequence[BiPoly | Scalar]]):
-        n = len(rows)
-        if not n or any(len(r) != n for r in rows):
-            raise DimensionMismatchError("matrix must be square and nonempty")
-        c: dict = {}
-        for r, row in enumerate(rows):
-            for col, e in enumerate(row):
-                if not isinstance(e, BiPoly):
-                    e = BiPoly.const(e)
-                for (i, p), a in e._c.items():
-                    c[r, col, i, p] = a
-        self.n = n
-        self._c = c
-
-    @classmethod
-    def _new(cls, c: dict, n: int) -> "ConformalElement":
-        """Trusted builder: ``c`` maps keys of an n x n element to Fractions."""
-        out = object.__new__(cls)
-        out.n = n
-        out._c = {k: a for k, a in c.items() if a}
-        return out
-
-    def _like(self, c: dict) -> "ConformalElement":
-        return ConformalElement._new(c, self.n)
-
-    def _require_same_tag(self, other: "ConformalElement") -> None:
-        if self.n != other.n:
-            raise DimensionMismatchError(f"sizes {self.n} and {other.n}")
-
-    def one_like(self) -> "ConformalElement":
-        return ConformalElement.identity(self.n)
-
-    @classmethod
-    def zero(cls, n: int) -> "ConformalElement":
-        return cls._new({}, n)
-
-    @classmethod
-    def identity(cls, n: int) -> "ConformalElement":
-        return cls._new({(k, k, 0, 0): Fraction(1) for k in range(n)}, n)
+    __slots__ = ("_form",)
+    _entry = BiPoly
 
     @classmethod
     def scalar(cls, n: int, f: BiPoly) -> "ConformalElement":
@@ -122,27 +83,6 @@ class ConformalElement(_Sparse):
                     for p, a in e._c.items():
                         c[r, col, i, p] = a
         return cls._new(c, n)
-
-    @property
-    def rows(self) -> tuple[tuple[BiPoly, ...], ...]:
-        n = self.n
-        cells: list[list[dict]] = [[{} for _ in range(n)] for _ in range(n)]
-        for (r, col, i, p), a in self._c.items():
-            cells[r][col][i, p] = a
-        return tuple(tuple(map(BiPoly._new, row)) for row in cells)
-
-    def entry(self, r: int, col: int) -> BiPoly:
-        return BiPoly._new(
-            {(i, p): a for (x, y, i, p), a in self._c.items() if (x, y) == (r, col)}
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not ConformalElement:
-            return NotImplemented
-        return self.n == other.n and self._c == other._c
-
-    def __hash__(self) -> int:
-        return hash((self.n, frozenset(self._c.items())))
 
     def __mul__(
         self, other: "ConformalElement | BiPoly | Scalar"
@@ -183,9 +123,6 @@ class ConformalElement(_Sparse):
     def v_mul(self) -> "ConformalElement":
         """Multiply by v * Id."""
         return self._mul_monomial(0, 1)
-
-    def transpose(self) -> "ConformalElement":
-        return self._like({(c, r, d, e): a for (r, c, d, e), a in self._c.items()})
 
     def _subst_v(self, c: Scalar, d: int) -> "ConformalElement":
         """Substitute v -> v + c * D^d (d is 0 or 1) in every entry:
@@ -240,12 +177,6 @@ class ConformalElement(_Sparse):
             i: PolyMatrix._new([[UniPoly._new(x, "v") for x in row] for row in cells])
             for i, cells in out.items()
         }
-
-    def __str__(self) -> str:
-        return "[" + "; ".join(", ".join(map(str, r)) for r in self.rows) + "]"
-
-    def __repr__(self) -> str:
-        return f"ConformalElement({self})"
 
 
 def v_id(n: int) -> ConformalElement:

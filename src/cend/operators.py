@@ -38,7 +38,7 @@ from .errors import (
     NotDifferentialError,
 )
 from .poly import PolyMatrix, UniPoly
-from .weyl import WeylElement, WeylMatrix
+from .weyl import WeylMatrix
 
 
 @dataclass(frozen=True)
@@ -61,16 +61,14 @@ class DifferentialSequence:
 
     def operator(self, n: int) -> WeylMatrix:
         """The member a(n) = sum_s C(n,s) A_s(p) q^(n-s) of the family."""
-        cells = [[{} for _ in range(self.n)] for _ in range(self.n)]
-        for s, mat in enumerate(self.coeffs):
-            if s > n:
-                break
+        out: dict = {}
+        for s, mat in enumerate(self.coeffs[: n + 1]):
             c = comb(n, s)
-            for cell_row, row in zip(cells, mat.rows):
-                for cell, e in zip(cell_row, row):
-                    for d, a in e.items():
-                        cell[(d, n - s)] = a * c
-        return WeylMatrix._new([[WeylElement._new(x) for x in r] for r in cells])
+            for r, row in enumerate(mat.rows):
+                for col, e in enumerate(row):
+                    for d, a in e._c.items():
+                        out[r, col, d, n - s] = a * c
+        return WeylMatrix._new(out, self.n)
 
 
 @dataclass(frozen=True)
@@ -101,10 +99,20 @@ def element_sequence(a: ConformalElement) -> DifferentialSequence:
 
 
 def symbol(a: ConformalElement, n: int) -> WeylMatrix:
-    """The operator a(n) acting on k[p]^N."""
+    """The operator a(n) acting on k[p]^N.
+
+    Read straight off a's coefficient map: the term D^s v^d at (r, c), for
+    s <= n, contributes (-1)^s s! C(n,s) p^d q^(n-s), which is the term
+    C(n,s) A_s(p) q^(n-s) of ``element_sequence(a).operator(n)``.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return element_sequence(a).operator(n)
+    out: dict = {}
+    for (r, c, s, d), x in a._c.items():
+        if s <= n:
+            w = factorial(s) * comb(n, s)
+            out[r, c, d, n - s] = x * (-w if s % 2 else w)
+    return WeylMatrix._new(out, a.n)
 
 
 def reconstruct(seq: DifferentialSequence) -> ConformalElement:
@@ -143,26 +151,25 @@ def fit_differential_sequence(
 
     m_top = max(by_n)
     w = by_n[m_top]
-    # group the largest sample by q-degree: a(M) = sum_s C(M,s) A_s q^(M-s)
-    zero = UniPoly.zero("p")
-    layers: dict[int, list[list[UniPoly]]] = {}
-    for i in range(size):
-        for j in range(size):
-            for dp, dq, c in w.entry(i, j).items():
-                if dq > m_top:
-                    raise NotDifferentialError(
-                        f"operator at n={m_top} has q-degree {dq} > {m_top}"
-                    )
-                if dq not in layers:
-                    layers[dq] = [[zero for _ in range(size)] for _ in range(size)]
-                layers[dq][i][j] = layers[dq][i][j] + UniPoly.monomial(dp, c, "p")
+    # group the largest sample by q-degree: a(M) = sum_s C(M,s) A_s q^(M-s);
+    # the sorted keys name the first offending term in (row, col, p, q) order
+    layers: dict[int, list[list[dict]]] = {}
+    for (i, j, dp, dq), c in sorted(w._c.items()):
+        if dq > m_top:
+            raise NotDifferentialError(
+                f"operator at n={m_top} has q-degree {dq} > {m_top}"
+            )
+        if dq not in layers:
+            layers[dq] = [[{} for _ in range(size)] for _ in range(size)]
+        layers[dq][i][j][dp] = c
     coeffs = []
     for s in range(m_top + 1):
-        rows = layers.get(m_top - s)
-        if rows is None:
+        cells = layers.get(m_top - s)
+        if cells is None:
             coeffs.append(PolyMatrix.zeros(size, "p"))
         else:
-            coeffs.append(PolyMatrix(rows, "p") * Fraction(1, comb(m_top, s)))
+            rows = [[UniPoly._new(x, "p") for x in row] for row in cells]
+            coeffs.append(PolyMatrix._new(rows) * Fraction(1, comb(m_top, s)))
     while coeffs and coeffs[-1].is_zero():
         coeffs.pop()
 
@@ -195,17 +202,12 @@ def act(w: WeylMatrix, b: ConformalElement) -> ConformalElement:
     for (k, col, j, e), x in b._c.items():
         by_row.setdefault(k, []).append((col, j, e, x))
     acc: dict = {}
-    for r, row in enumerate(w.rows):
-        for k, entry in enumerate(row):
-            terms = by_row.get(k)
-            if not terms:
-                continue
-            for (i, n), c in entry._c.items():
-                for col, j, e, x in terms:
-                    for t in range(max(n - e, 0), min(n, j) + 1):
-                        key = (r, col, j - t, i + e - n + t)
-                        y = c * x * (comb(n, t) * _falling(j, t) * _falling(e, n - t))
-                        acc[key] = acc[key] + y if key in acc else y
+    for (r, k, i, n), c in w._c.items():
+        for col, j, e, x in by_row.get(k, ()):
+            for t in range(max(n - e, 0), min(n, j) + 1):
+                key = (r, col, j - t, i + e - n + t)
+                y = c * x * (comb(n, t) * _falling(j, t) * _falling(e, n - t))
+                acc[key] = acc[key] + y if key in acc else y
     return ConformalElement._new(acc, w.n)
 
 
@@ -218,13 +220,13 @@ def verify_composition(
       symbol(a (m) b, n) = sum_s (-1)^s C(m,s) symbol(a, m-s) * symbol(b, n+s)
     """
     lhs = symbol(a, n) * symbol(b, m)
-    rhs = WeylMatrix.zeros(a.n)
+    rhs = WeylMatrix.zero(a.n)
     for s in range(n + 1):
         rhs = rhs + symbol(nproduct(a, n - s, b), m + s) * comb(n, s)
     failures = [] if lhs == rhs else [f"composition at n={n}, m={m}"]
 
     lhs2 = symbol(nproduct(a, m, b), n)
-    rhs2 = WeylMatrix.zeros(a.n)
+    rhs2 = WeylMatrix.zero(a.n)
     for s in range(m + 1):
         t = (symbol(a, m - s) * symbol(b, n + s)) * comb(m, s)
         rhs2 = rhs2 + (-t if s % 2 else t)

@@ -1,11 +1,15 @@
 """Exact polynomial kernel over the rationals.
 
 Sparse univariate and bivariate polynomials with ``fractions.Fraction``
-coefficients on one shared sparse core (which ``ConformalElement`` reuses),
-the square-matrix core behind ``PolyMatrix`` and ``WeylMatrix``, and the two
-matrix normal forms everything else is built on: the Smith form with
-unimodular witnesses over k[x], and a reduced echelon (Hermite) basis for
-finitely generated submodules of k[D]^L.
+coefficients on one shared sparse core.  On top of it sit the pair-keyed
+core that ``BiPoly`` shares with the Weyl algebra's ``WeylElement``, and the
+sparse-matrix core behind ``ConformalElement`` and ``WeylMatrix``, which
+store a matrix as one map ``{(row, col, i, j): coefficient}`` over the
+entries' monomials.  ``PolyMatrix`` is a dense matrix over k[x].  The two
+matrix normal forms everything else is built on are the Smith form with
+unimodular witnesses over k[x], which also inverts unimodular matrices, and
+a reduced echelon (Hermite) basis for finitely generated submodules of
+k[D]^L.
 
 All values are immutable after construction; every operation returns a new
 object. Zero coefficients are never stored, so structural equality is
@@ -132,42 +136,6 @@ class _Sparse:
 
     def one_like(self):
         return self._like({self._unit: Fraction(1)})
-
-
-def _pair_terms(
-    coeffs: Mapping[tuple[int, int], Scalar] | Iterable[tuple[int, int, Scalar]],
-    negative: str,
-) -> dict[tuple[int, int], Fraction]:
-    """Validated, normalized terms for a public pair-keyed constructor;
-    ``negative`` is the message for a negative exponent."""
-    if isinstance(coeffs, dict) or isinstance(coeffs, Mapping):
-        entries: Iterable = ((i, j, a) for (i, j), a in coeffs.items())
-    else:
-        entries = coeffs
-    acc: dict[tuple[int, int], Fraction] = {}
-    for i, j, a in entries:
-        i, j = int(i), int(j)
-        if i < 0 or j < 0:
-            raise ValueError(negative)
-        a = Fraction(a)
-        key = (i, j)
-        if key in acc:
-            acc[key] += a
-        elif a:
-            acc[key] = a
-    return {k: a for k, a in acc.items() if a}
-
-
-def _pair_str(terms: list[tuple[int, int, Fraction]], x: str, y: str) -> str:
-    out = []
-    for i, j, a in sorted(terms, key=lambda t: (-(t[0] + t[1]), -t[0])):
-        parts = []
-        if i:
-            parts.append(x if i == 1 else f"{x}^{i}")
-        if j:
-            parts.append(y if j == 1 else f"{y}^{j}")
-        out.append(_term_str(a, "*".join(parts)))
-    return _join_terms(out)
 
 
 class UniPoly(_Sparse):
@@ -355,24 +323,84 @@ def poly_ext_gcd(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:
     return r0, u0, w0
 
 
-class BiPoly(_Sparse):
-    """Sparse commutative polynomial in the pair (D, v) over the rationals.
+class _PairPoly(_Sparse):
+    """Shared core of the pair-keyed polynomials ``BiPoly`` and ``WeylElement``.
 
-    Monomial keys are (degree in D, degree in v).
+    Monomial keys are exponent pairs; ``_vars`` names the two variables for
+    printing and ``_negative`` is the message for a negative exponent.
     """
 
     __slots__ = ()
+    _vars: tuple[str, str]
+    _negative: str
 
     def __init__(
         self,
         coeffs: Mapping[tuple[int, int], Scalar]
         | Iterable[tuple[int, int, Scalar]] = (),
     ):
-        self._c = _pair_terms(coeffs, "polynomial degrees must be nonnegative")
+        if isinstance(coeffs, Mapping):
+            coeffs = ((i, j, a) for (i, j), a in coeffs.items())
+        acc: dict[tuple[int, int], Fraction] = {}
+        for i, j, a in coeffs:
+            i, j = int(i), int(j)
+            if i < 0 or j < 0:
+                raise ValueError(self._negative)
+            a = Fraction(a)
+            key = (i, j)
+            if key in acc:
+                acc[key] += a
+            elif a:
+                acc[key] = a
+        self._c = {k: a for k, a in acc.items() if a}
 
     @classmethod
-    def zero(cls) -> "BiPoly":
-        return cls()
+    def zero(cls):
+        return cls._new({})
+
+    @classmethod
+    def monomial(cls, i: int, j: int, coeff: Scalar):
+        return cls([(i, j, coeff)])
+
+    def items(self) -> list[tuple[int, int, Fraction]]:
+        return sorted((i, j, a) for (i, j), a in self._c.items())
+
+    def coeff(self, i: int, j: int) -> Fraction:
+        return self._c.get((i, j), Fraction(0))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._c == other._c
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.items()))
+
+    def __str__(self) -> str:
+        x, y = self._vars
+        out = []
+        for i, j, a in sorted(self.items(), key=lambda t: (-(t[0] + t[1]), -t[0])):
+            parts = []
+            if i:
+                parts.append(x if i == 1 else f"{x}^{i}")
+            if j:
+                parts.append(y if j == 1 else f"{y}^{j}")
+            out.append(_term_str(a, "*".join(parts)))
+        return _join_terms(out)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+
+class BiPoly(_PairPoly):
+    """Sparse commutative polynomial in the pair (D, v) over the rationals.
+
+    Monomial keys are (degree in D, degree in v).
+    """
+
+    __slots__ = ()
+    _vars = ("D", "v")
+    _negative = "polynomial degrees must be nonnegative"
 
     @classmethod
     def const(cls, a: Scalar) -> "BiPoly":
@@ -387,10 +415,6 @@ class BiPoly(_Sparse):
         return cls([(0, power, coeff)])
 
     @classmethod
-    def monomial(cls, deg_d: int, deg_v: int, coeff: Scalar) -> "BiPoly":
-        return cls([(deg_d, deg_v, coeff)])
-
-    @classmethod
     def from_uni(cls, p: UniPoly, axis: str) -> "BiPoly":
         """Lift a univariate polynomial onto the D- or v-axis."""
         if axis == "D":
@@ -399,12 +423,6 @@ class BiPoly(_Sparse):
             return cls._new({(0, d): a for d, a in p._c.items()})
         raise ValueError("axis must be 'D' or 'v'")
 
-    def items(self) -> list[tuple[int, int, Fraction]]:
-        return sorted((i, j, a) for (i, j), a in self._c.items())
-
-    def coeff(self, deg_d: int, deg_v: int) -> Fraction:
-        return self._c.get((deg_d, deg_v), Fraction(0))
-
     @property
     def deg_d(self) -> int | None:
         return max(i for i, _ in self._c) if self._c else None
@@ -412,14 +430,6 @@ class BiPoly(_Sparse):
     @property
     def deg_v(self) -> int | None:
         return max(j for _, j in self._c) if self._c else None
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return self._c == other._c
-
-    def __hash__(self) -> int:
-        return hash(tuple(self.items()))
 
     def __mul__(self, other: "BiPoly | Scalar") -> "BiPoly":
         if isinstance(other, BiPoly):
@@ -432,11 +442,91 @@ class BiPoly(_Sparse):
             return BiPoly._new(c)
         return _Sparse.__mul__(self, other)
 
+
+class _SparseMatrix(_Sparse):
+    """Shared core of the square matrices stored as one sparse map,
+    ``ConformalElement`` and ``WeylMatrix``.
+
+    ``_c`` maps ``(row, col, i, j)`` to the nonzero coefficient of the
+    monomial with exponent pair ``(i, j)`` in entry ``(row, col)``, an
+    element of the pair-keyed class ``_entry``.  The size ``n`` is the tag
+    that sums and differences check; ``rows`` and ``entry`` build entries on
+    demand.  A matrix equals only a matrix of the same class, size and map.
+    """
+
+    __slots__ = ("n",)
+    _entry: type[_PairPoly]
+
+    def __init__(self, rows: Sequence[Sequence]):
+        n = len(rows)
+        if not n or any(len(r) != n for r in rows):
+            raise DimensionMismatchError("matrix must be square and nonempty")
+        entry = self._entry
+        c: dict = {}
+        for r, row in enumerate(rows):
+            for col, e in enumerate(row):
+                if not isinstance(e, entry):
+                    e = entry.monomial(0, 0, e)
+                for (i, j), a in e._c.items():
+                    c[r, col, i, j] = a
+        self.n = n
+        self._c = c
+
+    @classmethod
+    def _new(cls, c: dict, n: int):
+        """Trusted constructor: ``c`` maps keys of an n x n matrix to Fractions."""
+        out = object.__new__(cls)
+        out.n = n
+        out._c = {k: a for k, a in c.items() if a}
+        return out
+
+    def _like(self, c: dict):
+        return self._new(c, self.n)
+
+    def _require_same_tag(self, other: "_SparseMatrix") -> None:
+        if self.n != other.n:
+            raise DimensionMismatchError(f"sizes {self.n} and {other.n}")
+
+    @classmethod
+    def zero(cls, n: int):
+        return cls._new({}, n)
+
+    @classmethod
+    def identity(cls, n: int):
+        return cls._new({(k, k, 0, 0): Fraction(1) for k in range(n)}, n)
+
+    def one_like(self):
+        return self.identity(self.n)
+
+    @property
+    def rows(self) -> tuple[tuple, ...]:
+        n = self.n
+        cells: list[list[dict]] = [[{} for _ in range(n)] for _ in range(n)]
+        for (r, col, i, j), a in self._c.items():
+            cells[r][col][i, j] = a
+        return tuple(tuple(map(self._entry._new, row)) for row in cells)
+
+    def entry(self, r: int, col: int):
+        return self._entry._new(
+            {(i, j): a for (x, y, i, j), a in self._c.items() if (x, y) == (r, col)}
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.n == other.n and self._c == other._c
+
+    def __hash__(self) -> int:
+        return hash((self.n, frozenset(self._c.items())))
+
+    def transpose(self):
+        return self._like({(c, r, i, j): a for (r, c, i, j), a in self._c.items()})
+
     def __str__(self) -> str:
-        return _pair_str(self.items(), "D", "v")
+        return "[" + "; ".join(", ".join(map(str, r)) for r in self.rows) + "]"
 
     def __repr__(self) -> str:
-        return f"BiPoly({self})"
+        return f"{type(self).__name__}({self})"
 
 
 def _perm_sign(perm: Sequence[int]) -> int:
@@ -473,128 +563,25 @@ def _gen_det(rows: Sequence[Sequence]):
     return acc
 
 
-def _gen_adjugate(rows: Sequence[Sequence]) -> list[list]:
-    n = len(rows)
-    if n == 1:
-        return [[rows[0][0].one_like()]]
-    adj = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [rows[r][c] for c in range(n) if c != j]
-                for r in range(n)
-                if r != i
-            ]
-            cof = _gen_det(minor)
-            adj[j][i] = cof if (i + j) % 2 == 0 else -cof
-    return adj
+class PolyMatrix:
+    """Square matrix over k[var]; the variable is read from the entries.
 
-
-class _Matrix:
-    """Shared core of the square-matrix classes, ``PolyMatrix`` and ``WeylMatrix``.
-
-    ``rows`` is a nonempty square tuple of row tuples over one entry ring.
-    The public constructors validate data from outside and decide how a
-    scalar becomes an entry; results of internal arithmetic are built by
-    ``_new``, which trusts its input.  A matrix equals only a matrix of the
-    same class with equal rows.
+    ``rows`` is a nonempty square tuple of row tuples of ``UniPoly`` entries
+    sharing one variable.  The constructor validates data from outside;
+    results of internal arithmetic are built by ``_new``, which trusts its
+    input.  A matrix equals only a ``PolyMatrix`` with equal rows.
     """
 
     __slots__ = ("n", "rows")
-
-    def __init__(self, rows: Sequence[Sequence], coerce) -> None:
-        n = len(rows)
-        if not n or any(len(r) != n for r in rows):
-            raise DimensionMismatchError("matrix must be square and nonempty")
-        self.n = n
-        self.rows = tuple(tuple(map(coerce, r)) for r in rows)
-
-    @classmethod
-    def _new(cls, rows: Sequence[Sequence]):
-        """Trusted builder: ``rows`` is square and holds entries of the ring."""
-        out = object.__new__(cls)
-        out.n = len(rows)
-        out.rows = tuple(map(tuple, rows))
-        return out
-
-    def entry(self, i: int, j: int):
-        return self.rows[i][j]
-
-    def _require_same_size(self, other: "_Matrix") -> None:
-        if self.n != other.n:
-            raise DimensionMismatchError(f"sizes {self.n} and {other.n}")
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
-    def __add__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        self._require_same_size(other)
-        return self._new(
-            [[x + y for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)]
-        )
-
-    def __sub__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        self._require_same_size(other)
-        return self._new(
-            [[x - y for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)]
-        )
-
-    def __neg__(self):
-        return self._new([[-e for e in r] for r in self.rows])
-
-    def __mul__(self, other):
-        """Matrix product or rational multiple; subclasses whose entry ring
-        is commutative add the ring scalar."""
-        if type(other) is type(self):
-            # the size check is inlined: this is the kernel's hot path
-            if self.n != other.n:
-                raise DimensionMismatchError(f"sizes {self.n} and {other.n}")
-            return self._new(_gen_matmul(self.rows, other.rows))
-        if isinstance(other, (int, Fraction)):
-            return self._new([[e * other for e in r] for r in self.rows])
-        return NotImplemented
-
-    def __rmul__(self, other):
-        # only scalars land here, and __mul__ accepts only those that commute
-        return self.__mul__(other)
-
-    def map(self, f):
-        """Apply ``f`` entrywise; it must return an entry of the same ring
-        (and, over k[x], the same variable)."""
-        return self._new([[f(e) for e in r] for r in self.rows])
-
-    def transpose(self):
-        return self._new(tuple(zip(*self.rows)))
-
-    def is_zero(self) -> bool:
-        return all(not e for r in self.rows for e in r)
-
-    def __str__(self) -> str:
-        return "[" + "; ".join(", ".join(str(e) for e in r) for r in self.rows) + "]"
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self})"
-
-
-class PolyMatrix(_Matrix):
-    """Square matrix over k[var]; the variable is read from the entries."""
-
-    __slots__ = ()
 
     def __init__(
         self,
         rows: Sequence[Sequence[UniPoly | Scalar]],
         var: str | None = None,
     ):
+        n = len(rows)
+        if not n or any(len(r) != n for r in rows):
+            raise DimensionMismatchError("matrix must be square and nonempty")
         if var is None:
             var = next(
                 (e.var for r in rows for e in r if isinstance(e, UniPoly)), None
@@ -609,7 +596,16 @@ class PolyMatrix(_Matrix):
                 raise ValueError("mixed variable tags in matrix")
             return e
 
-        super().__init__(rows, coerce)
+        self.n = n
+        self.rows = tuple(tuple(map(coerce, r)) for r in rows)
+
+    @classmethod
+    def _new(cls, rows: Sequence[Sequence[UniPoly]]) -> "PolyMatrix":
+        """Trusted builder: ``rows`` is square and holds entries of the ring."""
+        out = object.__new__(cls)
+        out.n = len(rows)
+        out.rows = tuple(map(tuple, rows))
+        return out
 
     @classmethod
     def identity(cls, n: int, var: str) -> "PolyMatrix":
@@ -633,16 +629,68 @@ class PolyMatrix(_Matrix):
     def var(self) -> str:
         return self.rows[0][0].var
 
+    def entry(self, i: int, j: int) -> UniPoly:
+        return self.rows[i][j]
+
+    def _require_same_size(self, other: "PolyMatrix") -> None:
+        if self.n != other.n:
+            raise DimensionMismatchError(f"sizes {self.n} and {other.n}")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not PolyMatrix:
+            return NotImplemented
+        return self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash(self.rows)
+
+    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
+        if type(other) is not PolyMatrix:
+            return NotImplemented
+        self._require_same_size(other)
+        return PolyMatrix._new(
+            [[x + y for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)]
+        )
+
+    def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
+        if type(other) is not PolyMatrix:
+            return NotImplemented
+        self._require_same_size(other)
+        return PolyMatrix._new(
+            [[x - y for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)]
+        )
+
+    def __neg__(self) -> "PolyMatrix":
+        return PolyMatrix._new([[-e for e in r] for r in self.rows])
+
     def __mul__(self, other: "PolyMatrix | UniPoly | Scalar") -> "PolyMatrix":
-        if isinstance(other, UniPoly):
+        """Matrix product, or multiple by a polynomial or a rational."""
+        if type(other) is PolyMatrix:
+            # the size check is inlined: this is the kernel's hot path
+            if self.n != other.n:
+                raise DimensionMismatchError(f"sizes {self.n} and {other.n}")
+            return PolyMatrix._new(_gen_matmul(self.rows, other.rows))
+        if isinstance(other, (UniPoly, int, Fraction)):
             return PolyMatrix._new([[e * other for e in r] for r in self.rows])
-        return _Matrix.__mul__(self, other)
+        return NotImplemented
+
+    def __rmul__(self, other: "UniPoly | Scalar") -> "PolyMatrix":
+        # the entry ring is commutative, and only its elements land here
+        return self.__mul__(other)
+
+    def map(self, f) -> "PolyMatrix":
+        """Apply ``f`` entrywise; it must return a polynomial in the same
+        variable."""
+        return PolyMatrix._new([[f(e) for e in r] for r in self.rows])
+
+    def transpose(self) -> "PolyMatrix":
+        return PolyMatrix._new(tuple(zip(*self.rows)))
+
+    def is_zero(self) -> bool:
+        return all(not e for r in self.rows for e in r)
 
     def det(self) -> UniPoly:
         return _gen_det(self.rows)
-
-    def adjugate(self) -> "PolyMatrix":
-        return PolyMatrix._new(_gen_adjugate(self.rows))
 
     def shift(self, alpha: Scalar) -> "PolyMatrix":
         """Substitute x -> x + alpha entrywise."""
@@ -651,17 +699,24 @@ class PolyMatrix(_Matrix):
     def retag(self, var: str) -> "PolyMatrix":
         return PolyMatrix._new([[e.retag(var) for e in r] for r in self.rows])
 
+    def __str__(self) -> str:
+        return "[" + "; ".join(", ".join(str(e) for e in r) for r in self.rows) + "]"
+
+    def __repr__(self) -> str:
+        return f"PolyMatrix({self})"
+
 
 def unimodular_inverse(q: PolyMatrix) -> PolyMatrix:
     """Inverse of a matrix invertible over the polynomial ring itself.
 
-    Raises NotUnimodularError when det is zero or non-constant.
+    The Smith form ``T * Q * U = D`` has ``D = I`` exactly when ``Q`` is
+    unimodular, and then ``Q^{-1} = U * T``.  Raises NotUnimodularError,
+    naming ``det Q``, when the determinant is zero or non-constant.
     """
-    d = q.det()
-    if d.is_zero() or d.degree != 0:
-        raise NotUnimodularError(f"determinant {d} is not a nonzero constant")
-    c = 1 / d.coeff(0)
-    return q.adjugate() * c
+    t, d, u = smith_normal_form(q)
+    if d != PolyMatrix.identity(q.n, q.var):
+        raise NotUnimodularError(f"determinant {q.det()} is not a nonzero constant")
+    return u * t
 
 
 def smith_normal_form(

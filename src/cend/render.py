@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .classify import Classification, ClosureResult, KvClosureResult
 from .operators import DifferentialSequence
-from .poly import _Matrix
+from .poly import PolyMatrix, _SparseMatrix
 from .weyl import HSeqPair
 
 __all__ = [
@@ -32,7 +32,7 @@ def _grid(rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
-def render_matrix(m: _Matrix) -> str:
+def render_matrix(m: PolyMatrix | _SparseMatrix) -> str:
     return _grid([[str(e) for e in r] for r in m.rows])
 
 

@@ -174,7 +174,7 @@ def polymatrix_from_json(data: Any, var: str) -> PolyMatrix:
 
 
 def weylmatrix_to_json(m: WeylMatrix) -> list:
-    return [[weyl_to_json(m.entry(i, j)) for j in range(m.n)] for i in range(m.n)]
+    return [[weyl_to_json(e) for e in r] for r in m.rows]
 
 
 def weylmatrix_from_json(data: Any) -> WeylMatrix:

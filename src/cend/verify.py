@@ -418,13 +418,13 @@ def _chk_shift_split(ctx):
     for _ in range(ctx.cases):
         h = rand_unipoly(ctx.rng, "p", max_deg=2, terms=2, span=2)
         seqs = h_sequences(h, 6)
-        hw = WeylElement.from_poly(h, "p")
+        hw = WeylElement.from_poly(h)
         lo_pow = WeylElement.one()
         up_pow = WeylElement.one()
         for k in range(7):
             stem, c = split_by_shift(lo_pow)
             cases += 2
-            if weyl_mul(stem, q) + WeylElement.from_poly(c, "p") != lo_pow:
+            if weyl_mul(stem, q) + WeylElement.from_poly(c) != lo_pow:
                 fails.append(f"split does not recompose at n={k}")
             if c != seqs.lower[k] or split_by_shift(up_pow)[1] != seqs.upper[k]:
                 fails.append(f"split misses the coefficient sequences at n={k}")

@@ -6,7 +6,10 @@ defining relation q p = p q + 1. Multiplication uses the closed form
 
     (p^a q^b)(p^c q^d) = sum_k k! C(b,k) C(c,k) p^(a+c-k) q^(b+d-k),
 
-which is what iterating the single swap produces.
+which is what iterating the single swap produces.  A matrix over the Weyl
+algebra is stored like ``ConformalElement``, as one sparse map
+``{(row, col, p-degree, q-degree): coefficient}``, and its product applies
+the same closed form to each pair of terms that meet at an inner index.
 
 The module also carries the machinery for shifted powers of q: for a
 polynomial h(p), the q-free parts of (q - h)^n and (q + h)^n form two
@@ -19,28 +22,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 from .errors import CheckResult
-from .poly import Scalar, UniPoly, _Matrix, _pair_str, _pair_terms, _Sparse
+from .poly import PolyMatrix, Scalar, UniPoly, _PairPoly, _Sparse, _SparseMatrix
 
 
-class WeylElement(_Sparse):
-    """Element of the first Weyl algebra in normal form."""
+class WeylElement(_PairPoly):
+    """Element of the first Weyl algebra in normal form.
+
+    Monomial keys are (degree in p, degree in q).
+    """
 
     __slots__ = ()
-
-    def __init__(
-        self,
-        coeffs: Mapping[tuple[int, int], Scalar]
-        | Iterable[tuple[int, int, Scalar]] = (),
-    ):
-        self._c = _pair_terms(coeffs, "exponents must be nonnegative")
-
-    @classmethod
-    def zero(cls) -> "WeylElement":
-        return cls()
+    _vars = ("p", "q")
+    _negative = "exponents must be nonnegative"
 
     @classmethod
     def one(cls) -> "WeylElement":
@@ -55,22 +53,9 @@ class WeylElement(_Sparse):
         return cls([(0, power, 1)])
 
     @classmethod
-    def monomial(cls, deg_p: int, deg_q: int, coeff: Scalar) -> "WeylElement":
-        return cls([(deg_p, deg_q, coeff)])
-
-    @classmethod
-    def from_poly(cls, f: UniPoly, axis: str = "p") -> "WeylElement":
-        if axis == "p":
-            return cls._new({(d, 0): a for d, a in f._c.items()})
-        if axis == "q":
-            return cls._new({(0, d): a for d, a in f._c.items()})
-        raise ValueError("axis must be 'p' or 'q'")
-
-    def items(self) -> list[tuple[int, int, Fraction]]:
-        return sorted((i, j, a) for (i, j), a in self._c.items())
-
-    def coeff(self, deg_p: int, deg_q: int) -> Fraction:
-        return self._c.get((deg_p, deg_q), Fraction(0))
+    def from_poly(cls, f: UniPoly) -> "WeylElement":
+        """A polynomial read in p."""
+        return cls._new({(d, 0): a for d, a in f._c.items()})
 
     @property
     def deg_p(self) -> int | None:
@@ -79,14 +64,6 @@ class WeylElement(_Sparse):
     @property
     def deg_q(self) -> int | None:
         return max(j for _, j in self._c) if self._c else None
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WeylElement):
-            return NotImplemented
-        return self._c == other._c
-
-    def __hash__(self) -> int:
-        return hash(tuple(self.items()))
 
     def __mul__(self, other: "WeylElement | Scalar") -> "WeylElement":
         if isinstance(other, WeylElement):
@@ -97,11 +74,14 @@ class WeylElement(_Sparse):
         """The q-free part, read as a polynomial in p."""
         return UniPoly._new({i: a for (i, j), a in self._c.items() if j == 0}, "p")
 
-    def __str__(self) -> str:
-        return _pair_str(self.items(), "p", "q")
 
-    def __repr__(self) -> str:
-        return f"WeylElement({self})"
+@lru_cache(maxsize=1024)
+def _reorder(j: int, i: int) -> tuple[tuple[int, int], ...]:
+    """``q^j p^i = sum_t w_t p^(i-t) q^(j-t)`` as the pairs ``(t, w_t)``,
+    with ``w_t = t! C(j,t) C(i,t)``."""
+    return tuple(
+        (t, factorial(t) * comb(j, t) * comb(i, t)) for t in range(min(j, i) + 1)
+    )
 
 
 def weyl_mul(a: WeylElement, b: WeylElement) -> WeylElement:
@@ -110,65 +90,82 @@ def weyl_mul(a: WeylElement, b: WeylElement) -> WeylElement:
     for (i1, j1), a1 in a._c.items():
         for (i2, j2), a2 in b._c.items():
             coeff = a1 * a2
-            for k in range(min(j1, i2) + 1):
-                key = (i1 + i2 - k, j1 + j2 - k)
-                w = coeff * factorial(k) * comb(j1, k) * comb(i2, k)
-                c[key] = c[key] + w if key in c else w
+            for t, w in _reorder(j1, i2):
+                key = (i1 + i2 - t, j1 + j2 - t)
+                x = coeff * w
+                c[key] = c[key] + x if key in c else x
     return WeylElement._new(c)
 
 
-def weyl_endo(a: WeylElement, alpha: Scalar, h: UniPoly) -> WeylElement:
-    """Apply the algebra endomorphism p -> p + alpha, q -> q - h(p).
+def weyl_endo(a: "WeylElement | WeylMatrix", alpha: Scalar, h: UniPoly):
+    """Apply the algebra endomorphism p -> p + alpha, q -> q - h(p) to an
+    element, or entrywise to a matrix.
 
     The images still satisfy the defining relation, so this is an
-    automorphism of the Weyl algebra.
+    automorphism of the Weyl algebra.  A term c p^i q^j goes to
+    c (p + alpha)^i (q - h)^j; the first factor is free of q, so it only
+    raises the p-degrees of the normal form of (q - h)^j.
     """
     alpha = Fraction(alpha)
     if h.var != "p":
         h = h.retag("p")
-    qh = WeylElement.q() - WeylElement.from_poly(h, "p")
-    qh_powers: dict[int, WeylElement] = {0: WeylElement.one()}
-    out = WeylElement.zero()
-    for (i, j), c in sorted(a._c.items()):
-        if j not in qh_powers:
-            m = max(qh_powers)
-            acc = qh_powers[m]
-            for e in range(m + 1, j + 1):
-                acc = weyl_mul(acc, qh)
-                qh_powers[e] = acc
-        pp = UniPoly.monomial(i, c, "p").shift(alpha)
-        out = out + weyl_mul(WeylElement.from_poly(pp, "p"), qh_powers[j])
-    return out
+    qh = WeylElement.q() - WeylElement.from_poly(h)
+    qh_powers = [WeylElement.one()]
+    out: dict = {}
+    for key, c in a._c.items():
+        *cell, i, j = key
+        while len(qh_powers) <= j:
+            qh_powers.append(weyl_mul(qh_powers[-1], qh))
+        power = qh_powers[j]._c.items()
+        for d, s in UniPoly.monomial(i, c, "p").shift(alpha)._c.items():
+            for (e, f), x in power:
+                k = (*cell, d + e, f)
+                y = s * x
+                out[k] = out[k] + y if k in out else y
+    return a._like(out)
 
 
-class WeylMatrix(_Matrix):
+class WeylMatrix(_SparseMatrix):
     """Square matrix over the Weyl algebra.
 
-    The entry ring is noncommutative, so only rational scalars multiply
+    ``_c`` maps ``(row, col, p-degree, q-degree)`` to the nonzero
+    coefficients, on the sparse matrix core that ``ConformalElement`` shares;
+    ``rows`` and ``entry`` build ``WeylElement`` entries on demand.  The
+    entry ring is noncommutative, so only rational scalars multiply
     directly; to multiply by an element w on one side, multiply by w * Id.
     """
 
     __slots__ = ()
+    _entry = WeylElement
 
-    def __init__(self, rows: Sequence[Sequence[WeylElement | Scalar]]):
-        def coerce(e):
-            return e if isinstance(e, WeylElement) else WeylElement.monomial(0, 0, e)
-
-        super().__init__(rows, coerce)
+    def __mul__(self, other: "WeylMatrix | Scalar") -> "WeylMatrix":
+        if type(other) is not WeylMatrix:
+            return _Sparse.__mul__(self, other)
+        self._require_same_tag(other)
+        by_row: dict[int, list] = {}
+        for (k, col, i, j), b in other._c.items():
+            by_row.setdefault(k, []).append((col, i, j, b))
+        acc: dict = {}
+        for (r, k, i1, j1), a in self._c.items():
+            for col, i2, j2, b in by_row.get(k, ()):
+                coeff = a * b
+                for t, w in _reorder(j1, i2):
+                    key = (r, col, i1 + i2 - t, j1 + j2 - t)
+                    x = coeff * w
+                    acc[key] = acc[key] + x if key in acc else x
+        return self._like(acc)
 
     @classmethod
-    def identity(cls, n: int) -> "WeylMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, n: int) -> "WeylMatrix":
-        return cls([[0] * n for _ in range(n)])
-
-    @classmethod
-    def from_poly_matrix(cls, m, axis: str = "p") -> "WeylMatrix":
-        """Lift a matrix of univariate polynomials along one generator."""
+    def from_poly_matrix(cls, m: PolyMatrix) -> "WeylMatrix":
+        """A matrix of polynomials read in p."""
         return cls._new(
-            [[WeylElement.from_poly(e, axis) for e in r] for r in m.rows]
+            {
+                (r, col, d, 0): a
+                for r, row in enumerate(m.rows)
+                for col, e in enumerate(row)
+                for d, a in e._c.items()
+            },
+            m.n,
         )
 
 
@@ -177,18 +174,12 @@ def q_valuation(a: "WeylElement | WeylMatrix") -> int | None:
 
     A positive valuation means membership in W q (entrywise for matrices).
     """
-    if isinstance(a, WeylMatrix):
-        vals = [q_valuation(e) for r in a.rows for e in r]
-        vals = [v for v in vals if v is not None]
-        return min(vals) if vals else None
-    return min((j for (_, j) in a._c), default=None)
+    return min((k[-1] for k in a._c), default=None)
 
 
 def q_truncate(a: "WeylElement | WeylMatrix", n: int) -> "WeylElement | WeylMatrix":
     """Representative modulo right multiples of q^n: keep q-degrees < n."""
-    if isinstance(a, WeylMatrix):
-        return a.map(lambda e: q_truncate(e, n))
-    return a._like({k: c for k, c in a._c.items() if k[1] < n})
+    return a._like({k: c for k, c in a._c.items() if k[-1] < n})
 
 
 @dataclass(frozen=True)

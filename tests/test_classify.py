@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_poly import adjugate
 
 from cend.classify import (
     AutomorphismSpec,
@@ -202,6 +204,31 @@ class TestApplyAutom:
         assert left.h == right.h
 
 
+class TestInverseCache:
+    @given(specs(), weyl_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_q_inv_is_computed_once_per_spec(self, t, w):
+        """Both actions of one spec, applied repeatedly, invert Q once; an
+        equal spec with a cold cache stays equal, with an equal hash."""
+        real = cend.classify.unimodular_inverse
+        calls = []
+
+        def counting(q):
+            calls.append(q)
+            return real(q)
+
+        a = unit(2, 0, 1, V - D)
+        with mock.patch.object(cend.classify, "unimodular_inverse", counting):
+            first = apply_autom(a, t), apply_autom_weyl(w, t)
+            again = apply_autom(a, t), apply_autom_weyl(w, t)
+        assert calls == [t.q]
+        assert first == again
+        assert t.q * t.q_inv == PolyMatrix.identity(2, "v")
+        twin = AutomorphismSpec(t.alpha, t.q, t.h)
+        assert twin == t and hash(twin) == hash(t)
+        assert twin.q_inv == t.q_inv
+
+
 class TestApplyAutomWeyl:
     def test_shift_moves_p(self):
         t = AutomorphismSpec(Fraction(2), PolyMatrix.identity(1, "v"))
@@ -351,7 +378,7 @@ def oracle_member(y, q, left):
     """Whether every D-coefficient ``Y`` of ``y`` is ``M * Q`` (left) or
     ``Q * M`` over k[v]: ``Y * adj(Q)`` (or ``adj(Q) * Y``) vanishes modulo
     ``det Q``."""
-    det, adj = q.det(), q.adjugate()
+    det, adj = q.det(), adjugate(q)
     for y_i in y.d_coeffs().values():
         prod = y_i * adj if left else adj * y_i
         if any(e % det for row in prod.rows for e in row):
@@ -929,6 +956,26 @@ class TestClassify:
         got = classify_irreducible(SubalgebraPresentation(gens, bound))
         assert got.verdict == "LeftIdeal"
         assert got.ideal_q == PolyMatrix.identity(1, "v")
+
+    @pytest.mark.parametrize("bound", [8, 9])
+    def test_density_bound_below_the_gain_is_named(self, bound):
+        """The matrix units conjugated by R = [[2v^4 + 1, v^2], [2v^2, 1]]
+        reach v-degree 8, so the density certificate needs deg_bound >= 8."""
+        r = PolyMatrix([[2 * v**4 + one_v, v * v], [2 * v * v, one_v]], "v")
+        t = AutomorphismSpec(Fraction(0), r)
+        gens = tuple(apply_autom(unit(2, i, j), t) for i in range(2) for j in range(2))
+        pres = SubalgebraPresentation(gens, v_deg_bound=bound)
+        got = classify_irreducible(pres)
+        assert got.verdict == "Unknown"
+        assert got.reason == (
+            "irreducibility precondition not established: degree bound too "
+            "small for the operator pool (density degree bound 6 is below the "
+            "operator pool's gain 8)"
+        )
+        got = classify_irreducible(pres, deg_bound=8)
+        assert got.verdict == "CurrentConjugate"
+        for g in gens:
+            assert apply_autom(g, got.witness).deg_v in (None, 0)
 
     def test_non_dense_input_is_refused(self):
         # the corner unit alone acts reducibly; no positive verdict allowed

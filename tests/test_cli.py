@@ -180,6 +180,17 @@ class TestErrorPaths:
         assert out == ""
         assert json.loads(err)["error"] == "NotUnimodular"
 
+    def test_non_unimodular_error_names_the_determinant(self, cli):
+        # Q = [[1 + v, v], [v, 1]] has det 1 + v - v^2
+        q = '[[[[0,"1"],[1,"1"]],[[1,"1"]]],[[[1,"1"]],[[0,"1"]]]]'
+        a = '{"N":2,"entries":[[[[0,1,"1"]],[]],[[],[]]]}'
+        status, out, err = cli(["autom"], '{"a": %s, "autom": {"Q": %s}}' % (a, q))
+        assert (status, out) == (1, "")
+        assert err == (
+            '{"error":"NotUnimodular","message":'
+            '"determinant -v^2 + v + 1 is not a nonzero constant"}\n'
+        )
+
     def test_bad_json_exits_two(self, cli):
         status, _, err = cli(["sigma"], "{not json")
         assert status == 2

@@ -70,6 +70,35 @@ UPPER_TRIANGULAR = (
 # D^2 term neither enters the pool nor raises c.
 N_BOUND_CUT = '{"generators":[{"N":1,"entries":[[[[0,0,"1"],[2,3,"1"]]]]}]}'
 
+# The operator side.  A 2x2 element with D^2 terms and rational coefficients,
+# [[3/2 D^2 v + v^2, -D], [0, 2 + 1/3 D^2]], for `symbol`.
+SYMBOL_ELEMENT = (
+    '{"a":{"N":2,"entries":[[[[2,1,"3/2"],[0,2,"1"]],[[1,0,"-1"]]],'
+    '[[],[[0,0,"2"],[2,0,"1/3"]]]]}}'
+)
+# w = [[p q + 1/2, q^2], [-p, 0]], applied to an element and transformed.
+_W = '[[[[1,1,"1"],[0,0,"1/2"]],[[0,2,"1"]]],[[[1,0,"-1"]],[]]]'
+ACT = (
+    '{"w":%s,"b":{"N":2,"entries":[[[[1,2,"1"]],[[0,1,"2/3"]]],'
+    '[[[2,0,"1"]],[[0,3,"-1"],[1,1,"1"]]]]}}' % _W
+)
+# The degree-2 unimodular Q = [[1 + v^2, v], [v, 1]] (det 1).
+_Q2 = '[[[[0,"1"],[2,"1"]],[[1,"1"]]],[[[1,"1"]],[[0,"1"]]]]'
+AUTOM_WEYL = '{"w":%s,"autom":{"alpha":"1/2","Q":%s,"h":[[0,"2"],[1,"-1"]]}}' % (
+    _W,
+    _Q2,
+)
+AUTOM = (
+    '{"a":{"N":2,"entries":[[[[0,1,"1"],[1,0,"-1"]],[]],[[[1,1,"1/2"]],'
+    '[[0,0,"1"]]]]},"autom":{"alpha":"-1/3","Q":%s}}' % _Q2
+)
+# Samples n = 0, 1, 3 of the family of [[v - D, 0], [1/2 D v, 1]].
+FIT_SEQ = (
+    '{"samples":[{"n":0,"op":[[[[1,0,"1"]],[]],[[],[[0,0,"1"]]]]},'
+    '{"n":1,"op":[[[[0,0,"1"],[1,1,"1"]],[]],[[[1,0,"-1/2"]],[[0,1,"1"]]]]},'
+    '{"n":3,"op":[[[[0,2,"3"],[1,3,"1"]],[]],[[[1,2,"-3/2"]],[[0,3,"1"]]]]}]}'
+)
+
 CASES = [
     ("nproduct.txt", ["nproduct", "--n", "1"], V_ID1_PAIR),
     ("locality.txt", ["locality"], V_ID1_PAIR),
@@ -89,6 +118,12 @@ CASES = [
     ("density_upper_triangular.txt", ["density"], UPPER_TRIANGULAR),
     ("density_n_bound_cut.txt", ["density", "--deg-bound", "2", "--n", "0"], N_BOUND_CUT),
     ("hseq_identities.txt", ["hseq", "--n", "4"], '{"action": "identities", "h": [[1, "1"]]}'),
+    ("symbol.txt", ["symbol", "--n", "3"], SYMBOL_ELEMENT),
+    ("symbol_render.txt", ["symbol", "--n", "3", "--render"], SYMBOL_ELEMENT),
+    ("act.txt", ["act"], ACT),
+    ("autom_weyl.txt", ["autom-weyl"], AUTOM_WEYL),
+    ("autom.txt", ["autom"], AUTOM),
+    ("fit_seq.txt", ["fit-seq"], FIT_SEQ),
 ]
 
 

@@ -1,11 +1,12 @@
-"""Every package module uses each name it imports, and the package calls
-each private function it defines.
+"""Every package module uses each name it imports, and the package reads
+each private name it defines.
 
 ``__init__.py`` is skipped by the import check: it imports names only to
 re-export them.  A name counts as used when it is read as code; one that
-appears only inside a quoted annotation does not.  A private function or
-method counts as called when the package reads its name anywhere, as a
-variable or as an attribute.
+appears only inside a quoted annotation does not.  A private class,
+function, method or module-level name counts as used when the package reads
+its name anywhere, as a variable or as an attribute; assigning it is not a
+read.
 """
 
 import ast
@@ -46,7 +47,7 @@ def _read_names(tree: ast.Module) -> set[str]:
     """Every name read as a variable or looked up as an attribute."""
     out = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
@@ -54,17 +55,25 @@ def _read_names(tree: ast.Module) -> set[str]:
 
 
 def _private_defs(tree: ast.Module):
-    """(qualified name, name, line) of each private module-level function
-    and each private method of a module-level class; dunders are public."""
+    """(qualified name, name, line) of each private module-level class,
+    function or assigned name and each private method of a module-level
+    class; dunders are public."""
     funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in tree.body:
-        if isinstance(node, ast.ClassDef):
-            defs = [(f"{node.name}.", d) for d in node.body if isinstance(d, funcs)]
+        if isinstance(node, funcs):
+            defs = [("", node.name, node)]
+        elif isinstance(node, ast.ClassDef):
+            defs = [("", node.name, node)] + [
+                (f"{node.name}.", d.name, d) for d in node.body if isinstance(d, funcs)
+            ]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defs = [("", t.id, t) for t in targets if isinstance(t, ast.Name)]
         else:
-            defs = [("", node)] if isinstance(node, funcs) else []
-        for owner, d in defs:
-            if d.name.startswith("_") and not d.name.startswith("__"):
-                yield owner + d.name, d.name, d.lineno
+            defs = []
+        for owner, name, d in defs:
+            if name.startswith("_") and not name.startswith("__"):
+                yield owner + name, name, d.lineno
 
 
 def test_package_uses_every_private_function():
@@ -76,4 +85,4 @@ def test_package_uses_every_private_function():
         for qual, name, line in _private_defs(tree)
         if name not in used
     ]
-    assert not unused, f"private functions nothing in the package calls: {unused}"
+    assert not unused, f"private names nothing in the package reads: {unused}"

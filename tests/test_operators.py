@@ -34,8 +34,11 @@ def w1(e):
     return WeylMatrix([[e]])
 
 
+RATIONAL = st.fractions(-3, 3, max_denominator=4)
+
+
 @st.composite
-def elements(draw, n=1, max_dd=2, max_dv=2, max_terms=3):
+def elements(draw, n=1, max_dd=2, max_dv=2, max_terms=3, coeff=st.integers(-3, 3)):
     rows = []
     for _ in range(n):
         row = []
@@ -44,7 +47,7 @@ def elements(draw, n=1, max_dd=2, max_dv=2, max_terms=3):
             for _ in range(draw(st.integers(0, max_terms))):
                 i = draw(st.integers(0, max_dd))
                 j = draw(st.integers(0, max_dv))
-                coeffs[(i, j)] = draw(st.integers(-3, 3))
+                coeffs[(i, j)] = draw(coeff)
             row.append(BiPoly(coeffs))
         rows.append(row)
     return ConformalElement(rows)
@@ -69,6 +72,18 @@ class TestSymbol:
                               [BiPoly.const(0), BiPoly.const(0)]])
         got = symbol(a, 2)
         assert got.entry(0, 1) == WeylElement.q(2)
+
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda k: elements(n=k, max_dd=4, max_dv=3, coeff=RATIONAL)
+        ),
+        st.integers(0, 4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_differential_sequence(self, a, n):
+        """Reading a(n) off the coefficient map equals building it from the
+        coefficient list, D-degrees above n included."""
+        assert symbol(a, n) == element_sequence(a).operator(n)
 
     @given(elements(max_terms=2), st.integers(1, 4))
     @settings(max_examples=40, deadline=None)
@@ -158,7 +173,7 @@ class TestSequences:
         assert reconstruct(fitted) == a
 
     def test_all_zero(self):
-        samples = [OperatorSample(n, WeylMatrix.zeros(2)) for n in range(3)]
+        samples = [OperatorSample(n, WeylMatrix.zero(2)) for n in range(3)]
         seq = fit_differential_sequence(samples)
         assert seq.coeffs == ()
         assert reconstruct(seq).is_zero()

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -19,6 +20,7 @@ from cend.poly import (
     unimodular_inverse,
 )
 from cend.operators import act, symbol
+from cend.sampling import rand_polymatrix, rand_unimodular
 from cend.weyl import WeylElement, WeylMatrix
 
 
@@ -138,7 +140,7 @@ def assert_matrix_well_formed(m):
     lists = [list(r) for r in rows]
     again = PolyMatrix(lists, m.var) if isinstance(m, PolyMatrix) else type(m)(lists)
     assert again == m and hash(again) == hash(m)
-    if isinstance(m, ConformalElement):
+    if isinstance(m, (ConformalElement, WeylMatrix)):
         # the rows hide a stored zero, so read the coefficient map itself
         for key, a in m._c.items():
             assert type(a) is Fraction and a != 0
@@ -179,7 +181,7 @@ class TestKernelInvariant:
         x, y = (PolyMatrix(entries(unipolys(var="v", max_deg=2)), "v") for _ in "xy")
         a, b = (ConformalElement(entries(bipolys(max_deg=2))) for _ in "ab")
         for m in [x * y, x + y, x - y, -x, x * V, 3 * x, x.transpose(),
-                  x.adjugate(), x.map(UniPoly.derivative), x.retag("p"),
+                  adjugate(x), x.map(UniPoly.derivative), x.retag("p"),
                   *smith_normal_form(x)]:
             assert_matrix_well_formed(m)
         for m in [a * b, a + b, a - b, -a, a * VV, a.d_mul(), a.transpose(),
@@ -279,6 +281,21 @@ def pm(rows, var="v"):
     return PolyMatrix(rows, var)
 
 
+def adjugate(m: PolyMatrix) -> PolyMatrix:
+    """The classical adjoint by cofactors: ``m * adjugate(m) = det(m) * I``.
+    A test-side oracle; the package inverts through the Smith form."""
+    n, var = m.n, m.var
+    if n == 1:
+        return PolyMatrix.identity(1, var)
+    adj = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [[m.rows[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
+            cof = PolyMatrix(minor, var).det()
+            adj[j][i] = cof if (i + j) % 2 == 0 else -cof
+    return PolyMatrix(adj, var)
+
+
 V = UniPoly.gen("v")
 
 
@@ -299,7 +316,7 @@ class TestPolyMatrix:
     def test_adjugate_identity(self):
         m = pm([[V, 1], [2, V]])
         d = m.det()
-        prod = m * m.adjugate()
+        prod = m * adjugate(m)
         assert prod == PolyMatrix.diag([d, d], "v")
 
     def test_unimodular_inverse(self):
@@ -307,6 +324,25 @@ class TestPolyMatrix:
         assert unimodular_inverse(u) == pm([[1, -V], [0, 1]])
         with pytest.raises(NotUnimodularError):
             unimodular_inverse(pm([[V, 0], [0, 1]]))
+
+    @given(st.integers(1, 4), st.integers(0, 2**32), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_unimodular_inverse_matches_the_adjugate(self, n, seed, unimodular):
+        """The Smith-form inverse equals adj(Q) / det Q, and a Q whose
+        determinant is not a nonzero constant is refused with that
+        determinant named."""
+        rng = random.Random(seed)
+        if unimodular:
+            q = rand_unimodular(rng, n, moves=6)
+        else:
+            q = rand_polymatrix(rng, n, max_deg=2)
+        det = q.det()
+        if det.degree == 0:
+            assert unimodular_inverse(q) == adjugate(q) * (1 / det.coeff(0))
+        else:
+            with pytest.raises(NotUnimodularError) as err:
+                unimodular_inverse(q)
+            assert str(err.value) == f"determinant {det} is not a nonzero constant"
 
     def test_nonsquare_rejected(self):
         with pytest.raises(DimensionMismatchError):

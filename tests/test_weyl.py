@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from test_poly import assert_matrix_well_formed, assert_well_formed
 
 from cend.errors import DimensionMismatchError
-from cend.poly import PolyMatrix, UniPoly
+from cend.poly import PolyMatrix, UniPoly, _gen_matmul
 from cend.weyl import (
     HSeqPair,
     WeylElement,
@@ -147,7 +147,7 @@ class TestValuation:
     def test_matrix_valuation(self):
         m = WeylMatrix([[Q, 0], [0, Q * Q]])
         assert q_valuation(m) == 1
-        assert q_valuation(WeylMatrix.zeros(2)) is None
+        assert q_valuation(WeylMatrix.zero(2)) is None
 
 
 class TestWeylEndo:
@@ -199,13 +199,13 @@ class TestHSequences:
     def test_split_recovers_sequences(self):
         for h in (UniPoly.gen("p"), UniPoly({2: 1}, "p"), UniPoly({1: 1, 0: 1}, "p")):
             seqs = h_sequences(h, 6)
-            hw = WeylElement.from_poly(h, "p")
+            hw = WeylElement.from_poly(h)
             for n in range(7):
                 lo_pow = (Q - hw) ** n
                 up_pow = (Q + hw) ** n
                 stem, c = split_by_shift(lo_pow)
                 assert c == seqs.lower[n]
-                assert stem * Q + WeylElement.from_poly(c, "p") == lo_pow
+                assert stem * Q + WeylElement.from_poly(c) == lo_pow
                 _, c_up = split_by_shift(up_pow)
                 assert c_up == seqs.upper[n]
 
@@ -252,7 +252,7 @@ class TestRebase:
         from math import comb
 
         h = UniPoly({1: 2}, "p")
-        hw = WeylElement.from_poly(h, "p")
+        hw = WeylElement.from_poly(h)
         coeffs = [
             UniPoly({1: 1}, "p"),
             UniPoly({0: -2}, "p"),
@@ -264,16 +264,29 @@ class TestRebase:
             rebased = rebase_coefficients(padded, h)
             lhs = WeylElement.zero()
             for k, a_k in enumerate(coeffs):
-                lhs = lhs + comb(n, k) * (WeylElement.from_poly(a_k, "p") * Q ** (n - k))
+                lhs = lhs + comb(n, k) * (WeylElement.from_poly(a_k) * Q ** (n - k))
             rhs = WeylElement.zero()
             for s, b_s in enumerate(rebased):
                 rhs = rhs + comb(n, s) * (
-                    WeylElement.from_poly(b_s, "p") * (Q + hw) ** (n - s)
+                    WeylElement.from_poly(b_s) * (Q + hw) ** (n - s)
                 )
             assert lhs == rhs
 
 
 class TestWeylMatrix:
+    @given(st.integers(1, 3), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_product_matches_entrywise_weyl_mul(self, n, data):
+        """The product on the coefficient map equals the entrywise one, each
+        entry a sum of ``weyl_mul`` products."""
+        def draw():
+            return WeylMatrix(
+                [[data.draw(weyl_elements(3, 3)) for _ in range(n)] for _ in range(n)]
+            )
+
+        x, y = draw(), draw()
+        assert x * y == WeylMatrix(_gen_matmul(x.rows, y.rows))
+
     def test_identity(self):
         m = WeylMatrix([[P, Q], [ONE, P * Q]])
         assert m * WeylMatrix.identity(2) == m
