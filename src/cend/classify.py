@@ -111,6 +111,21 @@ class AutomorphismSpec:
         ``Q`` is not unimodular."""
         return unimodular_inverse(self.q)
 
+    @cached_property
+    def _lifts(self) -> tuple[ConformalElement, ConformalElement]:
+        """``(Q^{-1}(v), Q(v - D))``, the two factors of ``apply_autom``;
+        cached like ``q_inv``."""
+        return _lift(self.q_inv), phi_inv(_lift(self.q))
+
+    @cached_property
+    def _weyl_lifts(self) -> tuple[WeylMatrix, WeylMatrix]:
+        """``(Q^{-1}(p), Q(p))``, the two factors of ``apply_autom_weyl``;
+        cached like ``q_inv``."""
+        return (
+            WeylMatrix.from_poly_matrix(self.q_inv),
+            WeylMatrix.from_poly_matrix(self.q),
+        )
+
 
 def compose_autom(t1: AutomorphismSpec, t2: AutomorphismSpec) -> AutomorphismSpec:
     """The spec acting like ``t1`` followed by ``t2``.
@@ -144,15 +159,16 @@ def apply_autom(a: ConformalElement, t: AutomorphismSpec) -> ConformalElement:
         raise ValueError("subalgebra-level transforms require h = 0")
     if a.n != t.n:
         raise DimensionMismatchError(f"sizes {a.n} and {t.n}")
-    return _lift(t.q_inv) * a._subst_v(t.alpha, 0) * phi_inv(_lift(t.q))
+    left, right = t._lifts
+    return left * a._subst_v(t.alpha, 0) * right
 
 
 def apply_autom_weyl(w: WeylMatrix, t: AutomorphismSpec) -> WeylMatrix:
     """Image of an operator matrix: ``Q^{-1}(p) * w(p + alpha, q - h(p)) * Q(p)``."""
     if w.n != t.n:
         raise DimensionMismatchError(f"sizes {w.n} and {t.n}")
-    q_inv = WeylMatrix.from_poly_matrix(t.q_inv)
-    return q_inv * weyl_endo(w, t.alpha, t.h) * WeylMatrix.from_poly_matrix(t.q)
+    left, right = t._weyl_lifts
+    return left * weyl_endo(w, t.alpha, t.h) * right
 
 
 # --------------------------------------------------------------------------

@@ -372,6 +372,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_payload(args) -> object:
+    # a terminal would wait for end-of-file before an optional payload
+    if args.command in _NO_PAYLOAD and sys.stdin.isatty():
+        return None
     raw = sys.stdin.read()
     if not raw.strip():
         if args.command in _NO_PAYLOAD:

@@ -185,10 +185,7 @@ def weylmatrix_from_json(data: Any) -> WeylMatrix:
 def conformal_to_json(a: ConformalElement) -> dict:
     return {
         "N": a.n,
-        "entries": [
-            [bipoly_to_json(a.entry(i, j)) for j in range(a.n)]
-            for i in range(a.n)
-        ],
+        "entries": [[bipoly_to_json(e) for e in r] for r in a.rows],
     }
 
 

@@ -217,6 +217,8 @@ def verify_h_identities(h: UniPoly, k_max: int) -> CheckResult:
     """
     seqs = h_sequences(h, k_max)
     lo, up = seqs.lower, seqs.upper
+    # pair[i][j] = upper[i] * lower[j] for i + j <= k_max, each product once
+    pair = [[up[i] * lo[j] for j in range(k_max + 1 - i)] for i in range(k_max + 1)]
     zero = UniPoly.zero("p")
     one = UniPoly.const(1, "p")
     failures: list[str] = []
@@ -226,7 +228,7 @@ def verify_h_identities(h: UniPoly, k_max: int) -> CheckResult:
             cases += 1
             acc = zero
             for s in range(xi, k + 1):
-                acc = acc + comb(k - xi, s - xi) * (up[s - xi] * lo[k - s])
+                acc = acc + comb(k - xi, s - xi) * pair[s - xi][k - s]
             want = one if xi == k else zero
             if acc != want:
                 failures.append(f"convolution at k={k}, xi={xi}")
@@ -234,7 +236,7 @@ def verify_h_identities(h: UniPoly, k_max: int) -> CheckResult:
                 cases += 1
                 acc = zero
                 for s in range(xi, k):
-                    acc = acc + comb(k, s) * comb(s, xi) * (up[s - xi] * lo[k - s])
+                    acc = acc + comb(k, s) * comb(s, xi) * pair[s - xi][k - s]
                 if acc != -comb(k, xi) * up[k - xi]:
                     failures.append(f"binomial at k={k}, xi={xi}")
     return CheckResult(cases, tuple(failures))

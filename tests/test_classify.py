@@ -208,25 +208,40 @@ class TestInverseCache:
     @given(specs(), weyl_matrices())
     @settings(max_examples=100, deadline=None)
     def test_q_inv_is_computed_once_per_spec(self, t, w):
-        """Both actions of one spec, applied repeatedly, invert Q once; an
-        equal spec with a cold cache stays equal, with an equal hash."""
-        real = cend.classify.unimodular_inverse
-        calls = []
+        """Both actions of one spec, applied repeatedly, invert Q once and
+        build the factors they multiply by once; an equal spec with a cold
+        cache stays equal, with an equal hash."""
+        calls, lifts, weyl_lifts = [], [], []
 
-        def counting(q):
-            calls.append(q)
-            return real(q)
+        def counting(log, real):
+            def wrapped(q):
+                log.append(q)
+                return real(q)
+
+            return wrapped
 
         a = unit(2, 0, 1, V - D)
-        with mock.patch.object(cend.classify, "unimodular_inverse", counting):
+        with mock.patch.object(
+            cend.classify,
+            "unimodular_inverse",
+            counting(calls, cend.classify.unimodular_inverse),
+        ), mock.patch.object(
+            cend.classify, "_lift", counting(lifts, cend.classify._lift)
+        ), mock.patch.object(
+            WeylMatrix,
+            "from_poly_matrix",
+            counting(weyl_lifts, WeylMatrix.from_poly_matrix),
+        ):
             first = apply_autom(a, t), apply_autom_weyl(w, t)
             again = apply_autom(a, t), apply_autom_weyl(w, t)
         assert calls == [t.q]
+        assert lifts == weyl_lifts == [t.q_inv, t.q]
         assert first == again
         assert t.q * t.q_inv == PolyMatrix.identity(2, "v")
         twin = AutomorphismSpec(t.alpha, t.q, t.h)
         assert twin == t and hash(twin) == hash(t)
         assert twin.q_inv == t.q_inv
+        assert (twin._lifts, twin._weyl_lifts) == (t._lifts, t._weyl_lifts)
 
 
 class TestApplyAutomWeyl:

@@ -152,6 +152,21 @@ class TestVerifyCommand:
         assert status == 0
         assert json.loads(out)["ok"] is True
 
+    def test_terminal_stdin_is_not_read(self, capsys, monkeypatch):
+        class Terminal:
+            def isatty(self):
+                return True
+
+            def read(self):
+                raise AssertionError("verify read a terminal")
+
+        monkeypatch.setattr("sys.stdin", Terminal())
+        monkeypatch.setattr(
+            cend.cli, "verify_suite", lambda **kw: _stub_report(True)
+        )
+        assert main(["verify"]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
+
     def test_failing_report_exits_one(self, cli, monkeypatch):
         monkeypatch.setattr(
             cend.cli, "verify_suite", lambda **kw: _stub_report(False)

@@ -1,13 +1,16 @@
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cend.conformal
 from cend.classify import AutomorphismSpec, apply_autom
 from cend.conformal import (
     ConformalElement,
+    _bracket_from,
+    _brackets,
     bracket,
     check_associativity,
     check_lie,
@@ -282,7 +285,58 @@ class TestBracket:
         assert report.ok, report.failures
 
 
+def reference_bracket(a, n, b):
+    """[a (n) b] with D^s applied as the matrix product by ``d_id(N) ** s``."""
+    out = nproduct(a, n, b)
+    for s, prod in enumerate(nproducts(b, a)[n:]):
+        term = prod * d_id(a.n) ** s * Fraction(1, factorial(s))
+        out = out + (-term if (n + s) % 2 == 0 else term)
+    return out
+
+
+class TestBracketShift:
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda n: st.tuples(
+                elements(n=n, max_dd=3, max_terms=2),
+                elements(n=n, max_dd=3, max_terms=2),
+            )
+        ),
+        st.integers(0, 4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_degree_shift_matches_the_d_power_product(self, pair, n):
+        a, b = pair
+        want = reference_bracket(a, n, b)
+        assert bracket(a, n, b) == want
+        # check_lie's skew sum -sum_s (-1)^(n+s) D^s/s! [b (n+s) a], with
+        # the reference brackets past the table's end all zero
+        skew = ConformalElement.zero(a.n)
+        for s in range(locality_bound(a, b)):
+            term = reference_bracket(b, n + s, a) * d_id(a.n) ** s
+            term = term * Fraction(1, factorial(s))
+            skew = skew + (-term if (n + s) % 2 == 0 else term)
+        assert _bracket_from(ConformalElement.zero(a.n), _brackets(b, a), n) == skew
+        assert skew == want
+
+
 class TestAssociativity:
+    def test_each_distinct_product_is_evaluated_once(self, monkeypatch):
+        calls = []
+
+        def spy(x, k, y, circ=False):
+            calls.append(k)
+            return nproduct(x, k, y, circ)
+
+        monkeypatch.setattr(cend.conformal, "nproduct", spy)
+        a = unit(2, 0, 1, D * V)
+        b = unit(2, 1, 1, V * V) + unit(2, 1, 0, D)
+        c = unit(2, 1, 0, V) + unit(2, 0, 0, D * D)
+        report = check_associativity(a, b, c, 2, 2)
+        assert report.ok, report.failures
+        # 108 evaluations without the memo
+        assert len(calls) == 32
+
     @given(elements(max_terms=2), elements(max_terms=2), elements(max_terms=2),
            st.booleans())
     @settings(max_examples=15, deadline=None)

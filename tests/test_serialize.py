@@ -149,6 +149,17 @@ class TestMatrices:
             assert data["N"] == n
             assert conformal_from_json(data) == a
 
+    def test_conformal_entries_match_the_per_entry_encoding(self):
+        rng = random.Random(11)
+        for n in (1, 2, 3, 4):
+            for _ in range(10):
+                a = rand_conformal(rng, n, terms=rng.randint(0, 4))
+                per_entry = [
+                    [bipoly_to_json(a.entry(i, j)) for j in range(n)]
+                    for i in range(n)
+                ]
+                assert conformal_to_json(a) == {"N": n, "entries": per_entry}
+
     def test_conformal_accepts_missing_size(self):
         v = BiPoly.v()
         data = {"entries": [[bipoly_to_json(v)]]}

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_poly import assert_matrix_well_formed, assert_well_formed
 
+import cend.weyl
 from cend.errors import DimensionMismatchError
 from cend.poly import PolyMatrix, UniPoly, _gen_matmul
 from cend.weyl import (
@@ -219,6 +221,27 @@ class TestHSequences:
         ):
             report = verify_h_identities(h, 8)
             assert report.ok, report.failures
+
+    @pytest.mark.parametrize("index", [1, 4, 8])
+    def test_one_bad_lower_entry_fails(self, monkeypatch, index):
+        good = h_sequences
+
+        def bad(h, k_max):
+            seqs = good(h, k_max)
+            lower = list(seqs.lower)
+            lower[index] = lower[index] + UniPoly.const(1, "p")
+            return HSeqPair(seqs.h, tuple(lower), seqs.upper)
+
+        monkeypatch.setattr(cend.weyl, "h_sequences", bad)
+        report = verify_h_identities(UniPoly({2: 1, 0: -1}, "p"), 8)
+        assert report.ok is False
+        ks = []
+        for f in report.failures:
+            m = re.fullmatch(r"(?:convolution|binomial) at k=(\d+), xi=\d+", f)
+            assert m, f
+            ks.append(int(m.group(1)))
+        # lower[index] first enters the identities at k = index
+        assert min(ks) == index
 
 
 class TestRebase:
