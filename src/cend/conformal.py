@@ -27,14 +27,22 @@ matrix products A_ip B_jq, for m = n - i - t,
     a (n)' b  = sum (-1)^i C(j,t) n!/m! (p)_m C(p-m,s)
                     D^(j-t+s) v^(p+q-m-s) A_ip B_jq
 
-(default and circ; (x)_m is the falling factorial).  ``nproducts`` evaluates
-it for the whole table ``a (0) b, ..., a (L-1) b`` up to the locality L, and
-``nproduct`` at a single index.  The rest of the package calls these two.
+(default and circ; (x)_m is the falling factorial).  The weights depend
+only on i, j and the v-degree of the factor that is differentiated (q,
+respectively p), so ``_weights`` tabulates them once per such triple and
+family, in a memo shared by every call.  Each element keeps an
+integer term form: its terms ``(row, col, D-degree, v-degree, numerator)``
+over one common denominator, also grouped by row.  Products pair the terms
+whose inner indices match and scatter the tabulated weights.
+``nproducts`` evaluates the whole table ``a (0) b, ..., a (L-1) b`` up to
+the locality L, and ``nproduct`` a single index; the rest of the package
+calls these two.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, lcm
 from typing import Mapping
 
@@ -48,8 +56,8 @@ class ConformalElement(_SparseMatrix):
     ``_c`` is the coefficient map of the module docstring, on the sparse
     matrix core that ``WeylMatrix`` shares; ``rows`` and ``entry`` build
     ``BiPoly`` entries on demand.  Elements are immutable; the integer
-    monomial form that products and degrees read is computed on first use
-    and kept in ``_form``, which equality and hashing ignore.
+    term form that products and degrees read is computed on first use and
+    kept in ``_form``, which equality and hashing ignore.
     """
 
     __slots__ = ("_form",)
@@ -98,16 +106,13 @@ class ConformalElement(_SparseMatrix):
             return _Sparse.__mul__(self, other)
         self._require_same_tag(other)
         # the entries commute: D^i v^p A * D^j v^q B = D^(i+j) v^(p+q) AB
-        ma, den_a, _, _ = self._monomial_matrices()
-        mb, den_b, _, _ = other._monomial_matrices()
+        terms, _, den_a, _, _ = self._term_form()
+        _, by_row, den_b, _, _ = other._term_form()
         acc: dict = {}
-        for i, ai in ma.items():
-            for j, bj in mb.items():
-                for p, ap in ai.items():
-                    for q, bq in bj.items():
-                        for (r, c), x in _sparse_matmul(ap, bq).items():
-                            key = (r, c, i + j, p + q)
-                            acc[key] = acc.get(key, 0) + x
+        for r, k, i, p, x in terms:
+            for c, j, q, y in by_row.get(k, ()):
+                key = (r, c, i + j, p + q)
+                acc[key] = acc.get(key, 0) + x * y
         return _assemble(self.n, [acc], den_a * den_b)[0]
 
     def _mul_monomial(self, i: int, p: int) -> "ConformalElement":
@@ -137,34 +142,40 @@ class ConformalElement(_SparseMatrix):
                 out[key] = out[key] + t if key in out else t
         return self._like(out)
 
-    def _monomial_matrices(self) -> tuple[dict, int, int | None, int | None]:
-        """``(mats, den, deg_d, deg_v)``, computed once per element.
+    def _term_form(self) -> tuple[tuple, dict, int, int | None, int | None]:
+        """``(terms, by_row, den, deg_d, deg_v)``, computed once per element.
 
-        ``mats`` is ``{D-degree: {v-degree: {row: [(col, numerator)]}}}``
-        with absent entries zero; the numerators are ints over the common
-        denominator ``den``.  The degrees are None for the zero element.
-        Every caller shares the cached dicts and only reads them.
+        ``terms`` holds one ``(row, col, D-degree, v-degree, numerator)``
+        per nonzero coefficient, with int numerators over the common
+        denominator ``den``.  ``by_row`` maps a row to the
+        ``(col, D-degree, v-degree, numerator)`` of its terms, which is how
+        a right factor is read.  The degrees are None for the zero element.
+        Every caller shares the cached form and only reads it.
         """
         try:
             return self._form
         except AttributeError:
             pass
         den = lcm(*(a.denominator for a in self._c.values()))
-        mats: dict = {}
-        for (r, col, i, p), a in self._c.items():
-            mat = mats.setdefault(i, {}).setdefault(p, {})
-            mat.setdefault(r, []).append((col, a.numerator * (den // a.denominator)))
-        deg_v = max((p for by_v in mats.values() for p in by_v), default=None)
-        self._form = (mats, den, max(mats, default=None), deg_v)
+        terms = tuple(
+            (r, col, i, p, a.numerator * (den // a.denominator))
+            for (r, col, i, p), a in self._c.items()
+        )
+        by_row: dict = {}
+        for r, col, i, p, x in terms:
+            by_row.setdefault(r, []).append((col, i, p, x))
+        deg_d = max((t[2] for t in terms), default=None)
+        deg_v = max((t[3] for t in terms), default=None)
+        self._form = (terms, by_row, den, deg_d, deg_v)
         return self._form
 
     @property
     def deg_d(self) -> int | None:
-        return self._monomial_matrices()[2]
+        return self._term_form()[3]
 
     @property
     def deg_v(self) -> int | None:
-        return self._monomial_matrices()[3]
+        return self._term_form()[4]
 
     def d_coeffs(self) -> dict[int, PolyMatrix]:
         """Decompose as sum_i D^i A_i(v); returns {i: A_i} over k[v]."""
@@ -229,41 +240,39 @@ def _falling(n: int, k: int) -> int:
     return out
 
 
-def _sparse_matmul(a: dict, b: dict) -> dict:
-    """Product of two monomial matrices as ``{(row, col): int}``."""
-    out: dict = {}
-    for r, row in a.items():
-        for k, x in row:
-            for c, y in b.get(k, ()):
-                out[r, c] = out.get((r, c), 0) + x * y
-    return out
+# Bounds the weight memo below, which every sweep shares.  Full, it holds at
+# most 3.4 MB while every degree is at most 8; the benchmark's verify
+# workload at five seeds fills 239 entries.
+_WEIGHT_TABLES = 512
 
 
-def _fold(prods: dict, m: int, circ: bool) -> dict:
-    """The base product of order ``m`` as ``{(row, col, D-deg, v-deg): int}``.
+@lru_cache(maxsize=_WEIGHT_TABLES)
+def _weights(i: int, j: int, top: int, circ: bool) -> tuple:
+    """Weights of the closed form for the monomials D^i v^p and D^j v^q.
 
-    ``prods`` maps ``(p, q)`` to ``A_p B_q``; the default product weighs it
-    by ``(q)_m`` at ``v^(p+q-m)``, the circ product by ``(p)_m C(p-m, s)``
-    at ``D^s v^(p+q-m-s)`` for each ``s <= p - m``.
+    ``top`` is the v-degree of the factor that the base product
+    differentiates: q for the default products, p for the circ ones.  The
+    other v-degree only adds to every v-degree, so the table is given with
+    it at 0.  It holds one ``(n, D-degree, v-degree, w)`` per monomial that
+    ``D^i v^p A (n) D^j v^q B`` reaches, where w is the summed weight of AB
+    there.  For each t <= j and m = n - i - t, the default products give
+    (-1)^i C(j,t) n!/m! (q)_m at D^(j-t) v^(p+q-m), and the circ products
+    give (-1)^i C(j,t) n!/m! (p)_m C(p-m,s) at D^(j-t+s) v^(p+q-m-s) for
+    each s <= p - m.
     """
+    sign = -1 if i % 2 else 1
     out: dict = {}
-    for (p, q), mat in prods.items():
-        if circ:
-            if p < m:
+    for t in range(j + 1):
+        for m in range(top + 1):
+            n = i + t + m
+            w = sign * comb(j, t) * _falling(n, i + t) * _falling(top, m)
+            if not circ:
+                out[n, j - t, top - m] = w
                 continue
-            head = _falling(p, m)
-            terms = [
-                (s, p + q - m - s, head * comb(p - m, s)) for s in range(p - m + 1)
-            ]
-        else:
-            if q < m:
-                continue
-            terms = [(0, p + q - m, _falling(q, m))]
-        for s, e, w in terms:
-            for (r, c), x in mat.items():
-                key = (r, c, s, e)
-                out[key] = out.get(key, 0) + w * x
-    return out
+            for s in range(top - m + 1):
+                key = (n, j - t + s, top - m - s)
+                out[key] = out.get(key, 0) + w * comb(top - m, s)
+    return tuple((n, d, e, w) for (n, d, e), w in out.items())
 
 
 def _sesquilinear_sweep(
@@ -274,54 +283,29 @@ def _sesquilinear_sweep(
     This is the unique extension satisfying the two sesquilinearity laws:
     each D peeled off the left factor contributes a factor -n and lowers n,
     each D on the right Leibniz-splits into an outer D and an n-lowering.
-    With a = sum D^i v^p A_ip and b = sum D^j v^q B_jq, where A_ip and B_jq
-    are rational matrices, that gives, for m = n - i - t,
-
-        a (n) b = sum (-1)^i C(j,t) n!/m! (q)_m D^(j-t) v^(p+q-m) A_ip B_jq
-
-    for the default products and
-
-        a (n) b = sum (-1)^i C(j,t) n!/m! (p)_m C(p-m,s)
-                      D^(j-t+s) v^(p+q-m-s) A_ip B_jq
-
-    (0 <= s <= p - m) for the circ products, with (x)_m the falling
-    factorial.  For each pair (i, j) the sweep multiplies every pair of
-    monomial matrices once, folds the products into one base product per
-    m, and scatters each base product into every n it reaches.  All
-    arithmetic is on integer numerators over the factors' common
-    denominators: the result is one accumulator
-    ``{(row, col, D-deg, v-deg): numerator}`` per n, which may hold zero
-    values, and the denominator ``den_a * den_b`` they share.
+    Its closed form (module docstring) weighs each product of a term
+    x D^i v^p e_rk of a with a term y D^j v^q e_kc of b by the entries of
+    ``_weights(i, j, q, False)`` or ``_weights(i, j, p, True)``, with their
+    v-degrees raised by p or q.  The sweep pairs the terms whose inner
+    indices match and scatters ``x * y * w`` into every n of ns that the
+    pair reaches; the other entries are skipped.  All arithmetic is on the
+    integer numerators of the factors' term forms: the result is one
+    accumulator ``{(row, col, D-deg, v-deg): numerator}`` per n, which may
+    hold zero values, and the denominator ``den_a * den_b`` they share.
     """
-    ma, den_a, _, _ = a._monomial_matrices()
-    mb, den_b, _, _ = b._monomial_matrices()
+    terms, _, den_a, _, _ = a._term_form()
+    _, by_row, den_b, _, _ = b._term_form()
+    start, stop = ns.start, ns.stop
     accs: list[dict] = [{} for _ in ns]
-    for i, ai in ma.items():
-        sign = -1 if i % 2 else 1
-        for j, bj in mb.items():
-            # the base product of order m vanishes past the v-degree of the
-            # factor it differentiates; n = i + t + m must lie in ns
-            top = max(ai) if circ else max(bj)
-            ms = range(max(ns.start - i - j, 0), min(top + 1, ns.stop - i))
-            if not ms:
-                continue
-            prods = {
-                (p, q): _sparse_matmul(ap, bq)
-                for p, ap in ai.items()
-                for q, bq in bj.items()
-                if (p if circ else q) >= ms.start
-            }
-            for m in ms:
-                base = _fold(prods, m, circ)
-                ts = range(max(ns.start - i - m, 0), min(j, ns.stop - 1 - i - m) + 1)
-                for t in ts:
-                    n = i + t + m
-                    w = sign * comb(j, t) * _falling(n, i + t)
-                    shift = j - t
-                    acc = accs[n - ns.start]
-                    for (r, c, s, e), x in base.items():
-                        key = (r, c, s + shift, e)
-                        acc[key] = acc.get(key, 0) + w * x
+    for r, k, i, p, x in terms:
+        for c, j, q, y in by_row.get(k, ()):
+            xy = x * y
+            top, other = (p, q) if circ else (q, p)
+            for n, d, e, w in _weights(i, j, top, circ):
+                if start <= n < stop:
+                    acc = accs[n - start]
+                    key = (r, c, d, e + other)
+                    acc[key] = acc.get(key, 0) + w * xy
     return accs, den_a * den_b
 
 
@@ -476,18 +460,6 @@ def bracket(a: ConformalElement, n: int, b: ConformalElement) -> ConformalElemen
     return _bracket_from(nproduct(a, n, b), nproducts(b, a), n)
 
 
-def _brackets(
-    a: ConformalElement, b: ConformalElement
-) -> tuple[ConformalElement, ...]:
-    """[a (n) b] for n < max(locality(a, b), locality(b, a)); later ones vanish."""
-    ab, ba = nproducts(a, b), nproducts(b, a)
-    zero = ConformalElement.zero(a.n)
-    return tuple(
-        _bracket_from(ab[n] if n < len(ab) else zero, ba, n)
-        for n in range(max(len(ab), len(ba)))
-    )
-
-
 def phi(a: ConformalElement) -> ConformalElement:
     """Base change v -> v + D; carries the default products to the circ ones."""
     return a._subst_v(1, 1)
@@ -567,20 +539,38 @@ def check_lie(
     failures = []
     cases = 0
     zero = ConformalElement.zero(a.n)
+    # each ordered pair's product table is swept once, and serves the
+    # bracket tables of both orders; the keys are safe because every factor
+    # is a, b, c, zero or a bracket that ``brackets`` keeps alive
     tables: dict = {}
+    brackets: dict = {}
+
+    def table(x: ConformalElement, y: ConformalElement) -> tuple:
+        key = (id(x), id(y))
+        if key not in tables:
+            tables[key] = nproducts(x, y)
+        return tables[key]
+
+    def bracket_table(x: ConformalElement, y: ConformalElement) -> tuple:
+        key = (id(x), id(y))
+        if key not in brackets:
+            ab, ba = table(x, y), table(y, x)
+            brackets[key] = tuple(
+                _bracket_from(ab[k] if k < len(ab) else zero, ba, k)
+                for k in range(max(len(ab), len(ba)))
+            )
+        return brackets[key]
 
     def br(x: ConformalElement, k: int, y: ConformalElement) -> ConformalElement:
-        if (x, y) not in tables:
-            tables[(x, y)] = _brackets(x, y)
-        table = tables[(x, y)]
-        return table[k] if k < len(table) else zero
+        got = bracket_table(x, y)
+        return got[k] if k < len(got) else zero
 
     for n in range(n_max + 1):
         cases += 1
         lhs = br(a, n, b)
         rhs = zero
         # brackets of the reversed pair vanish once both raw localities pass
-        limit = len(tables[(a, b)])
+        limit = len(bracket_table(a, b))
         for s in range(max(limit - n, 0)):
             t = br(b, n + s, a)._mul_monomial(s, 0) * Fraction(1, factorial(s))
             if (n + s) % 2 == 0:

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import factorial, lcm
+from math import comb, factorial, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +9,7 @@ import cend.conformal
 from cend.classify import AutomorphismSpec, apply_autom
 from cend.conformal import (
     ConformalElement,
+    _weights,
     bracket,
     check_associativity,
     check_lie,
@@ -248,6 +249,18 @@ class TestProductTable:
             assert not table[-1].is_zero()
         assert locality(a, b, circ) == len(table)
 
+    @given(same_size_pairs(), st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_single_index_matches_the_table_and_the_recursion(self, pair, circ):
+        a, b = pair
+        table = nproducts(a, b, circ)
+        lim = len(table)
+        # inside the table, at the locality and past it
+        for k in sorted({0, max(lim - 1, 0), lim, lim + 1}):
+            want = table[k] if k < lim else ConformalElement.zero(a.n)
+            assert nproduct(a, k, b, circ) == want
+            assert nproduct_recursive(a, k, b, circ) == want
+
     # Each pair reaches past the other family's bound, so both would fail
     # if the sweep stopped at the wrong family's degree.
     def test_circ_bound_counts_the_left_v_degree(self):
@@ -267,6 +280,43 @@ class TestProductTable:
             nproducts(ConformalElement.identity(1), ConformalElement.identity(2))
 
 
+def closed_form_weights(i, j, p, q, circ):
+    """The weights of D^i v^p (n) D^j v^q as ``{(n, D-deg, v-deg): w}``,
+    summed term by term from the closed form with factorial quotients."""
+    top = p if circ else q
+    out: dict = {}
+    for n in range(i + j + top + 1):
+        for t in range(j + 1):
+            m = n - i - t
+            if not 0 <= m <= top:
+                continue
+            w = (-1) ** i * comb(j, t) * factorial(n) // factorial(m)
+            w = w * factorial(top) // factorial(top - m)
+            for s in range(p - m + 1) if circ else [0]:
+                key = (n, j - t + s, p + q - m - s)
+                out[key] = out.get(key, 0) + (w * comb(p - m, s) if circ else w)
+    return out
+
+
+class TestWeights:
+    @given(
+        st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.integers(0, 4),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_table_is_the_closed_form(self, i, j, p, q, circ):
+        # the table is given with the other factor's v-degree at 0
+        table = _weights(i, j, p if circ else q, circ)
+        other = q if circ else p
+        got = {(n, d, e + other): w for n, d, e, w in table}
+        assert len(got) == len(table)
+        assert all(w for w in got.values())
+        assert got == closed_form_weights(i, j, p, q, circ)
+
+    def test_memo_is_bounded(self):
+        assert isinstance(_weights.cache_info().maxsize, int)
+
+
 class TestBracket:
     def test_virasoro_witness(self):
         # L = -v inside the scalar case: [L(0)L] = -D L, [L(1)L] = -2L, rest 0
@@ -281,6 +331,24 @@ class TestBracket:
     def test_lie_laws(self, a, b, c):
         report = check_lie(a, b, c, 2, 2)
         assert report.ok, report.failures
+
+    def test_each_ordered_pair_is_swept_once(self, monkeypatch):
+        calls = []
+
+        def spy(x, y, circ=False):
+            calls.append((id(x), id(y)))
+            return nproducts(x, y, circ)
+
+        monkeypatch.setattr(cend.conformal, "nproducts", spy)
+        a = unit(2, 0, 1, D * V)
+        b = unit(2, 1, 1, V * V) + unit(2, 1, 0, D)
+        c = unit(2, 1, 0, V) + unit(2, 0, 0, D * D)
+        report = check_lie(a, b, c, 2, 2)
+        assert report.ok, report.failures
+        assert len(set(calls)) == len(calls)
+        assert {(y, x) for x, y in calls} == set(calls)
+        # 26 when each bracket table swept both orders itself
+        assert len(calls) == 24
 
 
 def reference_bracket(a, n, b):
@@ -453,13 +521,13 @@ class TestCoefficientMap:
 
 
 class TestMonomialForm:
-    """The integer monomial form each element keeps for products and degrees."""
+    """The integer term form each element keeps for products and degrees."""
 
     @given(same_size_pairs())
     @settings(max_examples=40, deadline=None)
     def test_form_reproduces_every_coefficient(self, pair):
         for x in pair:
-            mats, den, _, _ = x._monomial_matrices()
+            terms, by_row, den, _, _ = x._term_form()
             want_den = 1
             for row in x.rows:
                 for e in row:
@@ -467,13 +535,10 @@ class TestMonomialForm:
                         want_den = lcm(want_den, a.denominator)
             assert den == want_den
             got: dict = {}
-            for i, by_v in mats.items():
-                for p, mat in by_v.items():
-                    for r, cols in mat.items():
-                        for c, num in cols:
-                            assert isinstance(num, int) and num
-                            assert (r, c, i, p) not in got
-                            got[r, c, i, p] = Fraction(num, den)
+            for r, c, i, p, num in terms:
+                assert isinstance(num, int) and num
+                assert (r, c, i, p) not in got
+                got[r, c, i, p] = Fraction(num, den)
             want = {
                 (r, c, i, p): a
                 for r, row in enumerate(x.rows)
@@ -481,14 +546,22 @@ class TestMonomialForm:
                 for i, p, a in e.items()
             }
             assert got == want
+            # the row grouping holds the same terms, each under its row
+            grouped = [(r, *t) for r, ts in by_row.items() for t in ts]
+            assert sorted(grouped) == sorted(terms)
 
     @given(same_size_pairs())
     @settings(max_examples=40, deadline=None)
     def test_cached_form_equals_a_fresh_decomposition(self, pair):
         a, _ = pair
-        form = a._monomial_matrices()
-        assert a._monomial_matrices() is form
-        assert ConformalElement(a.rows)._monomial_matrices() == form
+        form = a._term_form()
+        assert a._term_form() is form
+        terms, by_row, *rest = ConformalElement(a.rows)._term_form()
+        assert sorted(terms) == sorted(form[0])
+        assert {r: sorted(ts) for r, ts in by_row.items()} == {
+            r: sorted(ts) for r, ts in form[1].items()
+        }
+        assert rest == list(form[2:])
 
     @given(same_size_pairs())
     @settings(max_examples=40, deadline=None)
@@ -501,14 +574,14 @@ class TestMonomialForm:
     def test_zero_has_no_degrees(self):
         z = ConformalElement.zero(2)
         assert z.deg_d is None and z.deg_v is None
-        assert z._monomial_matrices() == ({}, 1, None, None)
+        assert z._term_form() == ((), {}, 1, None, None)
 
     @given(same_size_pairs())
     @settings(max_examples=30, deadline=None)
     def test_eq_and_hash_ignore_the_cache(self, pair):
         a, _ = pair
         filled, empty = ConformalElement(a.rows), ConformalElement(a.rows)
-        filled._monomial_matrices()
+        filled._term_form()
         assert filled == empty and empty == filled
         assert hash(filled) == hash(empty)
         assert len({filled, empty}) == 1
