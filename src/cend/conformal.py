@@ -490,8 +490,6 @@ def check_associativity(
 
     for all n <= n_max, m <= m_max.
     """
-    failures = []
-    cases = 0
     zero = ConformalElement.zero(a.n)
     # each distinct product is evaluated once; the keys are safe because
     # every factor is a, b, c or a product the memo keeps alive
@@ -503,23 +501,22 @@ def check_associativity(
             memo[key] = nproduct(x, k, y, circ)
         return memo[key]
 
-    for n in range(n_max + 1):
-        for m in range(m_max + 1):
-            cases += 2
-            lhs = prod(prod(a, n, b), m, c)
-            rhs = zero
-            for s in range(n + 1):
-                t = prod(a, n - s, prod(b, m + s, c)) * comb(n, s)
-                rhs = rhs + (-t if s % 2 else t)
-            if lhs != rhs:
-                failures.append(f"left-expansion at n={n}, m={m}")
-            lhs = prod(a, n, prod(b, m, c))
-            rhs = zero
-            for s in range(n + 1):
-                rhs = rhs + prod(prod(a, n - s, b), m + s, c) * comb(n, s)
-            if lhs != rhs:
-                failures.append(f"right-expansion at n={n}, m={m}")
-    return CheckResult(cases, tuple(failures))
+    def outcomes():
+        for n in range(n_max + 1):
+            for m in range(m_max + 1):
+                lhs = prod(prod(a, n, b), m, c)
+                rhs = zero
+                for s in range(n + 1):
+                    t = prod(a, n - s, prod(b, m + s, c)) * comb(n, s)
+                    rhs = rhs + (-t if s % 2 else t)
+                yield lhs == rhs, f"left-expansion at n={n}, m={m}"
+                lhs = prod(a, n, prod(b, m, c))
+                rhs = zero
+                for s in range(n + 1):
+                    rhs = rhs + prod(prod(a, n - s, b), m + s, c) * comb(n, s)
+                yield lhs == rhs, f"right-expansion at n={n}, m={m}"
+
+    return CheckResult.collect(outcomes())
 
 
 def check_lie(
@@ -536,8 +533,6 @@ def check_lie(
     assembles it from those tables.  A faulty product table shows up only in
     the Jacobi cases.
     """
-    failures = []
-    cases = 0
     zero = ConformalElement.zero(a.n)
     # each ordered pair's product table is swept once, and serves the
     # bracket tables of both orders; the keys are safe because every factor
@@ -565,26 +560,24 @@ def check_lie(
         got = bracket_table(x, y)
         return got[k] if k < len(got) else zero
 
-    for n in range(n_max + 1):
-        cases += 1
-        lhs = br(a, n, b)
-        rhs = zero
-        # brackets of the reversed pair vanish once both raw localities pass
-        limit = len(bracket_table(a, b))
-        for s in range(max(limit - n, 0)):
-            t = br(b, n + s, a)._mul_monomial(s, 0) * Fraction(1, factorial(s))
-            if (n + s) % 2 == 0:
-                t = -t
-            rhs = rhs + t
-        if lhs != rhs:
-            failures.append(f"skew at n={n}")
-    for n in range(n_max + 1):
-        for m in range(m_max + 1):
-            cases += 1
-            lhs = br(a, n, br(b, m, c)) - br(b, m, br(a, n, c))
+    def outcomes():
+        for n in range(n_max + 1):
+            lhs = br(a, n, b)
             rhs = zero
-            for s in range(n + 1):
-                rhs = rhs + br(br(a, n - s, b), m + s, c) * comb(n, s)
-            if lhs != rhs:
-                failures.append(f"jacobi at n={n}, m={m}")
-    return CheckResult(cases, tuple(failures))
+            # brackets of the reversed pair vanish once both raw localities pass
+            limit = len(bracket_table(a, b))
+            for s in range(max(limit - n, 0)):
+                t = br(b, n + s, a)._mul_monomial(s, 0) * Fraction(1, factorial(s))
+                if (n + s) % 2 == 0:
+                    t = -t
+                rhs = rhs + t
+            yield lhs == rhs, f"skew at n={n}"
+        for n in range(n_max + 1):
+            for m in range(m_max + 1):
+                lhs = br(a, n, br(b, m, c)) - br(b, m, br(a, n, c))
+                rhs = zero
+                for s in range(n + 1):
+                    rhs = rhs + br(br(a, n - s, b), m + s, c) * comb(n, s)
+                yield lhs == rhs, f"jacobi at n={n}, m={m}"
+
+    return CheckResult.collect(outcomes())

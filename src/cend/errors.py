@@ -3,9 +3,12 @@
 Every domain failure raises one of these exceptions; the CLI maps them to
 exit code 1 with a JSON error object on stderr, while malformed input
 surfaces as exit code 2 before any of them is reached.  A bounded identity
-check that runs to the end returns a :class:`CheckResult` instead.
+check that runs to the end returns a :class:`CheckResult` instead: it yields
+one ``(ok, description)`` outcome per case, and :meth:`CheckResult.collect`
+counts them.
 """
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 
@@ -20,6 +23,12 @@ class CheckResult:
     @property
     def ok(self) -> bool:
         return not self.failures
+
+    @classmethod
+    def collect(cls, outcomes: Iterable[tuple[bool, str]]) -> "CheckResult":
+        """Count a check's ``(ok, description)`` outcomes, one per case."""
+        outcomes = list(outcomes)
+        return cls(len(outcomes), tuple(d for ok, d in outcomes if not ok))
 
 
 class CendError(Exception):

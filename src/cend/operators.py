@@ -219,20 +219,21 @@ def verify_composition(
       symbol(a,n) * symbol(b,m) = sum_s C(n,s) symbol(a (n-s) b, m+s)
       symbol(a (m) b, n) = sum_s (-1)^s C(m,s) symbol(a, m-s) * symbol(b, n+s)
     """
-    lhs = symbol(a, n) * symbol(b, m)
-    rhs = WeylMatrix.zero(a.n)
-    for s in range(n + 1):
-        rhs = rhs + symbol(nproduct(a, n - s, b), m + s) * comb(n, s)
-    failures = [] if lhs == rhs else [f"composition at n={n}, m={m}"]
 
-    lhs2 = symbol(nproduct(a, m, b), n)
-    rhs2 = WeylMatrix.zero(a.n)
-    for s in range(m + 1):
-        t = (symbol(a, m - s) * symbol(b, n + s)) * comb(m, s)
-        rhs2 = rhs2 + (-t if s % 2 else t)
-    if lhs2 != rhs2:
-        failures.append(f"coefficient rule at n={n}, m={m}")
-    return CheckResult(2, tuple(failures))
+    def outcomes():
+        lhs = symbol(a, n) * symbol(b, m)
+        rhs = WeylMatrix.zero(a.n)
+        for s in range(n + 1):
+            rhs = rhs + symbol(nproduct(a, n - s, b), m + s) * comb(n, s)
+        yield lhs == rhs, f"composition at n={n}, m={m}"
+        lhs = symbol(nproduct(a, m, b), n)
+        rhs = WeylMatrix.zero(a.n)
+        for s in range(m + 1):
+            t = (symbol(a, m - s) * symbol(b, n + s)) * comb(m, s)
+            rhs = rhs + (-t if s % 2 else t)
+        yield lhs == rhs, f"coefficient rule at n={n}, m={m}"
+
+    return CheckResult.collect(outcomes())
 
 
 Vector = dict[tuple[int, int], Fraction]  # (component, p-degree) -> coeff

@@ -2,8 +2,11 @@
 
 ``verify_suite`` draws deterministic random instances, evaluates one exact
 identity family per check, and aggregates the outcomes into a JSON-friendly
-report.  Every check uses rational arithmetic end to end, so a single failure
-means a genuine broken identity, never rounding noise.
+report.  Each check is a generator that yields one ``(ok, description)``
+outcome per case, and :meth:`CheckResult.collect` counts them, so no case is
+counted without being checked.  Every check uses rational arithmetic end to
+end, so a single failure means a genuine broken identity, never rounding
+noise.
 
 The checks are grouped into suites mirroring the module layout (``core``,
 ``operators``, ``weyl``, ``ideals``, ``autom``, ``classify``); ``suite="all"``
@@ -14,7 +17,8 @@ check tag, so adding or filtering checks never shifts another check's draws.
 ``corrupt=True`` is an internal hook for testing the harness itself: it
 perturbs the conformal product used by the identity loops, and the affected
 tags must then report failures (a silent all-green corrupted run would mean
-the checks are vacuous).
+the checks are vacuous).  The benchmark's self-test passes it too, to show
+that its output check rejects a report with failures.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from .conformal import (
     phi_inv,
     sigma,
 )
-from .errors import InvariantError
+from .errors import CheckResult, InvariantError
 from .operators import (
     OperatorSample,
     act,
@@ -123,6 +127,14 @@ def _at(table, k: int, n: int) -> ConformalElement:
     return table[k] if k < len(table) else ConformalElement.zero(n)
 
 
+def _replay(got: CheckResult, prefix: str):
+    """A library check's result as outcomes, its failures under ``prefix``."""
+    for failure in got.failures:
+        yield False, prefix + failure
+    for _ in range(got.cases - len(got.failures)):
+        yield True, prefix
+
+
 def _unit(n: int, i: int, j: int) -> ConformalElement:
     return ConformalElement.single(n, i, j, BiPoly.const(1))
 
@@ -140,75 +152,56 @@ def _regular_polymatrix(rng, n: int, max_deg: int) -> PolyMatrix:
 
 
 def _chk_locality_truncation(ctx):
-    cases, fails = 0, []
     for n in ctx.sizes:
         for _ in range(ctx.cases):
             a = rand_conformal(ctx.rng, n, ctx.deg, ctx.deg)
             b = rand_conformal(ctx.rng, n, ctx.deg, ctx.deg)
             lim = locality(a, b)
-            cases += 2
-            if lim > locality_bound(a, b):
-                fails.append(f"size {n}: scan exceeded the degree bound")
+            ok = lim <= locality_bound(a, b)
+            yield ok, f"size {n}: scan exceeded the degree bound"
             # both products lie past the table, so they are computed afresh
-            if not (
-                ctx.prod(a, lim, b).is_zero()
-                and ctx.prod(a, lim + 1, b).is_zero()
-            ):
-                fails.append(f"size {n}: nonzero product at the locality index")
-    return cases, fails
+            ok = ctx.prod(a, lim, b).is_zero() and ctx.prod(a, lim + 1, b).is_zero()
+            yield ok, f"size {n}: nonzero product at the locality index"
 
 
 def _chk_left_shift(ctx):
-    cases, fails = 0, []
     for n in ctx.sizes:
         for _ in range(ctx.cases):
             a = rand_conformal(ctx.rng, n, ctx.deg, ctx.deg)
             b = rand_conformal(ctx.rng, n, ctx.deg, ctx.deg)
             for k in range(1, ctx.n_max + 1):
-                cases += 1
-                if ctx.prod(a.d_mul(), k, b) != ctx.prod(a, k - 1, b) * (-k):
-                    fails.append(f"size {n}: left shift broke at n={k}")
+                ok = ctx.prod(a.d_mul(), k, b) == ctx.prod(a, k - 1, b) * (-k)
+                yield ok, f"size {n}: left shift broke at n={k}"
             # n = 0 must kill the shifted argument entirely
-            cases += 1
-            if not ctx.prod(a.d_mul(), 0, b).is_zero():
-                fails.append(f"size {n}: left shift broke at n=0")
-    return cases, fails
+            ok = ctx.prod(a.d_mul(), 0, b).is_zero()
+            yield ok, f"size {n}: left shift broke at n=0"
 
 
 def _chk_right_shift(ctx):
-    cases, fails = 0, []
     for n in ctx.sizes:
         for _ in range(ctx.cases):
             a = rand_conformal(ctx.rng, n, ctx.deg, ctx.deg)
             b = rand_conformal(ctx.rng, n, ctx.deg, ctx.deg)
             bd = b.d_mul()
             ab = [ctx.prod(a, k, b) for k in range(ctx.n_max + 1)]
-            cases += 1
-            if ctx.prod(a, 0, bd) != ab[0].d_mul():
-                fails.append(f"size {n}: right shift broke at n=0")
+            ok = ctx.prod(a, 0, bd) == ab[0].d_mul()
+            yield ok, f"size {n}: right shift broke at n=0"
             for k in range(1, ctx.n_max + 1):
-                cases += 1
-                if ctx.prod(a, k, bd) != ab[k].d_mul() + ab[k - 1] * k:
-                    fails.append(f"size {n}: right shift broke at n={k}")
-    return cases, fails
+                ok = ctx.prod(a, k, bd) == ab[k].d_mul() + ab[k - 1] * k
+                yield ok, f"size {n}: right shift broke at n={k}"
 
 
 def _chk_associativity(ctx):
-    cases, fails = 0, []
     reps = max(1, ctx.cases - 1)
     for n in ctx.sizes:
         for _ in range(reps):
             a = rand_conformal(ctx.rng, n, ctx.deg, ctx.deg)
             b = rand_conformal(ctx.rng, n, ctx.deg, ctx.deg)
             c = rand_conformal(ctx.rng, n, ctx.deg, ctx.deg)
-            got = check_associativity(a, b, c, 2, 2)
-            cases += got.cases
-            fails += [f"size {n}: {f}" for f in got.failures]
-    return cases, fails
+            yield from _replay(check_associativity(a, b, c, 2, 2), f"size {n}: ")
 
 
 def _chk_bracket(ctx):
-    cases, fails = 0, []
     for n in ctx.sizes:
         # the nested bracket sums grow fast; keep big sizes slim
         deg = ctx.deg if n == 1 else 1
@@ -218,69 +211,52 @@ def _chk_bracket(ctx):
             a = rand_conformal(ctx.rng, n, deg, deg, terms=terms)
             b = rand_conformal(ctx.rng, n, deg, deg, terms=terms)
             c = rand_conformal(ctx.rng, n, deg, deg, terms=terms)
-            got = check_lie(a, b, c, 2, 2)
-            cases += got.cases
-            fails += [f"size {n}: {f}" for f in got.failures]
-    return cases, fails
+            yield from _replay(check_lie(a, b, c, 2, 2), f"size {n}: ")
 
 
 def _chk_virasoro(ctx):
     if not ctx.sizes:
-        return 0, []
-    cases, fails = 0, []
+        return
     ell = ConformalElement([[-BiPoly.v()]])
     expected = {0: ell.d_mul() * (-1), 1: ell * (-2)}
     for k in range(6):
-        cases += 1
         want = expected.get(k, ConformalElement.zero(1))
-        if bracket(ell, k, ell) != want:
-            fails.append(f"wrong bracket value at n={k}")
-    return cases, fails
+        yield bracket(ell, k, ell) == want, f"wrong bracket value at n={k}"
 
 
 def _chk_shift_transport(ctx):
-    cases, fails = 0, []
     for n in ctx.sizes:
         for _ in range(ctx.cases):
             a = rand_conformal(ctx.rng, n, ctx.deg, ctx.deg)
             b = rand_conformal(ctx.rng, n, ctx.deg, ctx.deg)
-            cases += 1
             pa, pb = phi(a), phi(b)
-            if phi_inv(pa) != a or phi(phi_inv(a)) != a:
-                fails.append(f"size {n}: shift inverse failed to cancel")
+            ok = phi_inv(pa) == a and phi(phi_inv(a)) == a
+            yield ok, f"size {n}: shift inverse failed to cancel"
             table = nproducts(pa, pb, circ=True)
             for k in range(ctx.n_max + 1):
-                cases += 1
-                if phi(ctx.prod(a, k, b)) != _at(table, k, n):
-                    fails.append(f"size {n}: transport broke at n={k}")
-    return cases, fails
+                ok = phi(ctx.prod(a, k, b)) == _at(table, k, n)
+                yield ok, f"size {n}: transport broke at n={k}"
 
 
 def _chk_transpose_twist(ctx):
-    cases, fails = 0, []
     for n in ctx.sizes:
         deg = ctx.deg if n <= 2 else 1
         for _ in range(ctx.cases):
             a = rand_conformal(ctx.rng, n, deg, deg)
             b = rand_conformal(ctx.rng, n, deg, deg)
-            cases += 2
             sa, sb = sigma(a), sigma(b)
-            if sigma(sa) != a:
-                fails.append(f"size {n}: twist is not involutive")
-            if sigma(a.d_mul()) != sa.d_mul() * (-1):
-                fails.append(f"size {n}: twist does not negate the shift")
-            table = nproducts(sb, sa)
-            lim = max(locality(a, b), len(table))
-            for k in range(lim):
-                cases += 1
+            yield sigma(sa) == a, f"size {n}: twist is not involutive"
+            ok = sigma(a.d_mul()) == sa.d_mul() * (-1)
+            yield ok, f"size {n}: twist does not negate the shift"
+            ab, table = ctx.nproducts(a, b), nproducts(sb, sa)
+            for k in range(max(len(ab), len(table))):
                 rhs = ConformalElement.zero(n)
                 for s, prod in enumerate(table[k:]):
                     t = prod._mul_monomial(s, 0)
                     t = t * Fraction(-1 if s % 2 else 1, factorial(s))
                     rhs = rhs + t
-                if sigma(ctx.prod(a, k, b)) != rhs:
-                    fails.append(f"size {n}: anti-morphism broke at n={k}")
-    return cases, fails
+                ok = sigma(_at(ab, k, n)) == rhs
+                yield ok, f"size {n}: anti-morphism broke at n={k}"
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +265,6 @@ def _chk_transpose_twist(ctx):
 
 
 def _chk_operator_composition(ctx):
-    cases, fails = 0, []
     for n in ctx.sizes:
         if n > 2:
             continue
@@ -298,44 +273,33 @@ def _chk_operator_composition(ctx):
             b = rand_conformal(ctx.rng, n, ctx.deg, ctx.deg)
             for i in range(3):
                 for j in range(3):
-                    got = verify_composition(a, b, i, j)
-                    cases += got.cases
-                    fails += [f"size {n}: {f}" for f in got.failures]
-    return cases, fails
+                    yield from _replay(verify_composition(a, b, i, j), f"size {n}: ")
 
 
 def _chk_operator_action(ctx):
-    cases, fails = 0, []
     for n in ctx.sizes:
         for _ in range(ctx.cases):
             a = rand_conformal(ctx.rng, n, ctx.deg, ctx.deg)
             b = rand_conformal(ctx.rng, n, ctx.deg, ctx.deg)
             table = ctx.nproducts(a, b)
             for k in range(len(table) + 1):
-                cases += 1
-                if act(symbol(a, k), b) != _at(table, k, n):
-                    fails.append(f"size {n}: action mismatch at n={k}")
-    return cases, fails
+                ok = act(symbol(a, k), b) == _at(table, k, n)
+                yield ok, f"size {n}: action mismatch at n={k}"
 
 
 def _chk_symbol_roundtrip(ctx):
-    cases, fails = 0, []
     for n in ctx.sizes:
         for _ in range(ctx.cases):
             a = rand_conformal(ctx.rng, n, ctx.deg, ctx.deg)
             seq = element_sequence(a)
-            cases += 2
-            if reconstruct(seq) != a:
-                fails.append(f"size {n}: reconstruction changed the element")
-            if any(
-                seq.operator(k) != symbol(a, k) for k in range(len(seq.coeffs) + 1)
-            ):
-                fails.append(f"size {n}: sequence and symbols disagree")
-    return cases, fails
+            yield reconstruct(seq) == a, f"size {n}: reconstruction changed the element"
+            ok = all(
+                seq.operator(k) == symbol(a, k) for k in range(len(seq.coeffs) + 1)
+            )
+            yield ok, f"size {n}: sequence and symbols disagree"
 
 
 def _chk_fit_from_samples(ctx):
-    cases, fails = 0, []
     for n in ctx.sizes:
         for _ in range(ctx.cases):
             a = rand_conformal(ctx.rng, n, ctx.deg, ctx.deg)
@@ -344,10 +308,8 @@ def _chk_fit_from_samples(ctx):
             samples = [
                 OperatorSample(k, seq.operator(k)) for k in range(top + 1)
             ]
-            cases += 1
-            if fit_differential_sequence(samples) != seq:
-                fails.append(f"size {n}: fitted sequence differs")
-    return cases, fails
+            ok = fit_differential_sequence(samples) == seq
+            yield ok, f"size {n}: fitted sequence differs"
 
 
 # ---------------------------------------------------------------------------
@@ -356,65 +318,50 @@ def _chk_fit_from_samples(ctx):
 
 
 def _chk_weyl_associativity(ctx):
-    cases, fails = 0, []
     if not ctx.sizes:
-        return cases, fails
+        return
     for _ in range(ctx.cases * len(ctx.sizes)):
         a = rand_weyl(ctx.rng, ctx.deg, ctx.deg)
         b = rand_weyl(ctx.rng, ctx.deg, ctx.deg)
         c = rand_weyl(ctx.rng, ctx.deg, ctx.deg)
-        cases += 1
-        if weyl_mul(weyl_mul(a, b), c) != weyl_mul(a, weyl_mul(b, c)):
-            fails.append("element product is not associative")
+        ok = weyl_mul(weyl_mul(a, b), c) == weyl_mul(a, weyl_mul(b, c))
+        yield ok, "element product is not associative"
     for n in ctx.sizes:
         u = rand_weyl_matrix(ctx.rng, n, ctx.deg, ctx.deg)
         w = rand_weyl_matrix(ctx.rng, n, ctx.deg, ctx.deg)
         x = rand_weyl_matrix(ctx.rng, n, ctx.deg, ctx.deg)
-        cases += 1
-        if (u * w) * x != u * (w * x):
-            fails.append(f"size {n}: matrix product is not associative")
-    return cases, fails
+        yield (u * w) * x == u * (w * x), f"size {n}: matrix product is not associative"
 
 
 def _chk_weyl_commutation(ctx):
-    cases, fails = 0, []
     if not ctx.sizes:
-        return cases, fails
+        return
     p, q, one = WeylElement.p(), WeylElement.q(), WeylElement.one()
-    cases += 1
-    if weyl_mul(q, p) - weyl_mul(p, q) != one:
-        fails.append("qp - pq is not 1")
+    yield weyl_mul(q, p) - weyl_mul(p, q) == one, "qp - pq is not 1"
     for _ in range(ctx.cases * len(ctx.sizes)):
         alpha = Fraction(ctx.rng.randint(-2, 2))
         h = rand_unipoly(ctx.rng, "p", max_deg=2, terms=2, span=2)
         ep, eq = weyl_endo(p, alpha, h), weyl_endo(q, alpha, h)
-        cases += 2
-        if weyl_mul(eq, ep) - weyl_mul(ep, eq) != one:
-            fails.append("substitution broke the commutation relation")
+        ok = weyl_mul(eq, ep) - weyl_mul(ep, eq) == one
+        yield ok, "substitution broke the commutation relation"
         a = rand_weyl(ctx.rng, ctx.deg, ctx.deg)
         b = rand_weyl(ctx.rng, ctx.deg, ctx.deg)
         lhs = weyl_endo(weyl_mul(a, b), alpha, h)
-        if lhs != weyl_mul(weyl_endo(a, alpha, h), weyl_endo(b, alpha, h)):
-            fails.append("substitution is not multiplicative")
-    return cases, fails
+        ok = lhs == weyl_mul(weyl_endo(a, alpha, h), weyl_endo(b, alpha, h))
+        yield ok, "substitution is not multiplicative"
 
 
 def _chk_h_sequences(ctx):
-    cases, fails = 0, []
     if not ctx.sizes:
-        return cases, fails
+        return
     for _ in range(ctx.cases):
         h = rand_unipoly(ctx.rng, "p", max_deg=3, terms=2, span=2)
-        got = verify_h_identities(h, 8)
-        cases += got.cases
-        fails += got.failures
-    return cases, fails
+        yield from _replay(verify_h_identities(h, 8), "")
 
 
 def _chk_shift_split(ctx):
-    cases, fails = 0, []
     if not ctx.sizes:
-        return cases, fails
+        return
     q = WeylElement.q()
     for _ in range(ctx.cases):
         h = rand_unipoly(ctx.rng, "p", max_deg=2, terms=2, span=2)
@@ -424,32 +371,27 @@ def _chk_shift_split(ctx):
         up_pow = WeylElement.one()
         for k in range(7):
             stem, c = split_by_shift(lo_pow)
-            cases += 2
-            if weyl_mul(stem, q) + WeylElement.from_poly(c) != lo_pow:
-                fails.append(f"split does not recompose at n={k}")
-            if c != seqs.lower[k] or split_by_shift(up_pow)[1] != seqs.upper[k]:
-                fails.append(f"split misses the coefficient sequences at n={k}")
+            ok = weyl_mul(stem, q) + WeylElement.from_poly(c) == lo_pow
+            yield ok, f"split does not recompose at n={k}"
+            ok = c == seqs.lower[k] and split_by_shift(up_pow)[1] == seqs.upper[k]
+            yield ok, f"split misses the coefficient sequences at n={k}"
             lo_pow = weyl_mul(lo_pow, q - hw)
             up_pow = weyl_mul(up_pow, q + hw)
-    return cases, fails
 
 
 def _chk_rebase_roundtrip(ctx):
-    cases, fails = 0, []
     if not ctx.sizes:
-        return cases, fails
+        return
     for _ in range(ctx.cases * len(ctx.sizes)):
         h = rand_unipoly(ctx.rng, "p", max_deg=2, terms=2, span=2)
         coeffs = [
             rand_unipoly(ctx.rng, "p", max_deg=2, terms=2, span=2)
             for _ in range(ctx.rng.randint(1, 5))
         ]
-        cases += 2
-        if rebase_inverse(rebase_coefficients(coeffs, h), h) != coeffs:
-            fails.append("rebase then inverse is not the identity")
-        if rebase_coefficients(rebase_inverse(coeffs, h), h) != coeffs:
-            fails.append("inverse then rebase is not the identity")
-    return cases, fails
+        ok = rebase_inverse(rebase_coefficients(coeffs, h), h) == coeffs
+        yield ok, "rebase then inverse is not the identity"
+        ok = rebase_coefficients(rebase_inverse(coeffs, h), h) == coeffs
+        yield ok, "inverse then rebase is not the identity"
 
 
 # ---------------------------------------------------------------------------
@@ -457,20 +399,20 @@ def _chk_rebase_roundtrip(ctx):
 # ---------------------------------------------------------------------------
 
 
+def _unimodular(w: PolyMatrix) -> bool:
+    """Whether ``det w`` is a nonzero constant."""
+    det = w.det()
+    return not det.is_zero() and det.degree == 0
+
+
 def _chk_smith_witnesses(ctx):
-    cases, fails = 0, []
     for n in ctx.sizes:
         for _ in range(ctx.cases):
             q = rand_polymatrix(ctx.rng, n, "v", max_deg=ctx.deg)
             t, dg, u = smith_normal_form(q)
-            cases += 3
-            if t * q * u != dg:
-                fails.append(f"size {n}: witnesses do not transform Q")
-            for w in (t, u):
-                det = w.det()
-                if det.is_zero() or det.degree != 0:
-                    fails.append(f"size {n}: witness is not unimodular")
-                    break
+            yield t * q * u == dg, f"size {n}: witnesses do not transform Q"
+            ok = _unimodular(t) and _unimodular(u)
+            yield ok, f"size {n}: witness is not unimodular"
             diag = [dg.entry(i, i) for i in range(n)]
             off_ok = all(
                 dg.entry(i, j).is_zero()
@@ -483,41 +425,30 @@ def _chk_smith_witnesses(ctx):
                 or (not diag[i].is_zero() and diag[i + 1].exact_div(diag[i]))
                 for i in range(n - 1)
             )
-            if not (off_ok and chain_ok):
-                fails.append(f"size {n}: result is not a divisibility chain")
-    return cases, fails
+            yield off_ok and chain_ok, f"size {n}: result is not a divisibility chain"
 
 
 def _chk_ideal_left_action(ctx):
-    cases, fails = 0, []
     for n in ctx.sizes:
         for _ in range(ctx.cases):
             q = _regular_polymatrix(ctx.rng, n, ctx.deg)
             member = _left_ideal_test(q)
             m = rand_conformal(ctx.rng, n, 1, 1)
             x = m * phi_inv(_lift(q))
-            cases += 1
-            if not member(x):
-                fails.append(f"size {n}: generated element not recognized")
+            yield member(x), f"size {n}: generated element not recognized"
             c = rand_conformal(ctx.rng, n, 1, 1)
             for k, prod in enumerate(ctx.nproducts(c, x)):
-                cases += 1
-                if not member(prod):
-                    fails.append(f"size {n}: left action escaped at n={k}")
-    return cases, fails
+                yield member(prod), f"size {n}: left action escaped at n={k}"
 
 
 def _chk_ideal_corner_generator(ctx):
-    cases, fails = 0, []
     for n in ctx.sizes:
         for _ in range(ctx.cases):
             q = _regular_polymatrix(ctx.rng, n, ctx.deg)
             x = e_nq(n, q)
             gen = phi_inv(_lift(q))
-            cases += 2
-            if not _left_ideal_test(q)(x):
-                fails.append(f"size {n}: corner generator not a member")
-            ok_rows = all(
+            yield _left_ideal_test(q)(x), f"size {n}: corner generator not a member"
+            ok = all(
                 x.entry(i, j).is_zero()
                 for i in range(n - 1)
                 for j in range(n)
@@ -525,36 +456,28 @@ def _chk_ideal_corner_generator(ctx):
                 x.entry(n - 1, j) == gen.entry(n - 1, j)
                 for j in range(n)
             )
-            if not ok_rows:
-                fails.append(f"size {n}: corner generator has wrong shape")
-    return cases, fails
+            yield ok, f"size {n}: corner generator has wrong shape"
 
 
 def _chk_canonical_transport(ctx):
-    cases, fails = 0, []
     for n in ctx.sizes:
         for _ in range(max(1, ctx.cases - 1)):
             q = _regular_polymatrix(ctx.rng, n, 1)
             try:
                 dg, _, spec = canonicalize_Q(q)
             except InvariantError:
-                cases += 1
-                fails.append(f"size {n}: sampled transport failed")
+                yield False, f"size {n}: sampled transport failed"
                 continue
-            cases += 3
-            if any(
-                not dg.entry(i, j).is_zero()
+            ok = all(
+                dg.entry(i, j).is_zero()
                 for i in range(n)
                 for j in range(n)
                 if i != j
-            ):
-                fails.append(f"size {n}: canonical form is not diagonal")
-            det = spec.q.det()
-            if det.is_zero() or det.degree != 0:
-                fails.append(f"size {n}: transport witness not unimodular")
-            if not left_ideal_member(apply_autom(e_nq(n, q), spec), dg):
-                fails.append(f"size {n}: corner generator not transported")
-    return cases, fails
+            )
+            yield ok, f"size {n}: canonical form is not diagonal"
+            yield _unimodular(spec.q), f"size {n}: transport witness not unimodular"
+            ok = left_ideal_member(apply_autom(e_nq(n, q), spec), dg)
+            yield ok, f"size {n}: corner generator not transported"
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +486,6 @@ def _chk_canonical_transport(ctx):
 
 
 def _chk_autom_homomorphism(ctx):
-    cases, fails = 0, []
     for n in ctx.sizes:
         for _ in range(ctx.cases):
             t = rand_autom(ctx.rng, n)
@@ -571,64 +493,51 @@ def _chk_autom_homomorphism(ctx):
             b = rand_conformal(ctx.rng, n, 1, 1)
             image = nproducts(apply_autom(a, t), apply_autom(b, t))
             for k, prod in enumerate(ctx.nproducts(a, b)):
-                cases += 1
-                if apply_autom(prod, t) != _at(image, k, n):
-                    fails.append(f"size {n}: transform broke the product at n={k}")
-    return cases, fails
+                ok = apply_autom(prod, t) == _at(image, k, n)
+                yield ok, f"size {n}: transform broke the product at n={k}"
 
 
 def _chk_autom_composition(ctx):
-    cases, fails = 0, []
     for n in ctx.sizes:
         for _ in range(ctx.cases):
             t1 = rand_autom(ctx.rng, n)
             t2 = rand_autom(ctx.rng, n)
             a = rand_conformal(ctx.rng, n, 1, 1)
-            cases += 1
-            if apply_autom(apply_autom(a, t1), t2) != apply_autom(
+            ok = apply_autom(apply_autom(a, t1), t2) == apply_autom(
                 a, compose_autom(t1, t2)
-            ):
-                fails.append(f"size {n}: composition law broke on elements")
+            )
+            yield ok, f"size {n}: composition law broke on elements"
             s1 = rand_autom(ctx.rng, n, with_h=True)
             s2 = rand_autom(ctx.rng, n, with_h=True)
             w = rand_weyl_matrix(ctx.rng, n, 1, 1)
-            cases += 1
-            if apply_autom_weyl(apply_autom_weyl(w, s1), s2) != apply_autom_weyl(
+            ok = apply_autom_weyl(apply_autom_weyl(w, s1), s2) == apply_autom_weyl(
                 w, compose_autom(s1, s2)
-            ):
-                fails.append(f"size {n}: composition law broke on operators")
-    return cases, fails
+            )
+            yield ok, f"size {n}: composition law broke on operators"
 
 
 def _chk_autom_bridge(ctx):
-    cases, fails = 0, []
     for n in ctx.sizes:
         for _ in range(ctx.cases):
             t = rand_autom(ctx.rng, n)
             a = rand_conformal(ctx.rng, n, 1, 1)
             image = apply_autom(a, t)
             for k in range(ctx.n_max + 1):
-                cases += 1
-                if symbol(image, k) != apply_autom_weyl(symbol(a, k), t):
-                    fails.append(f"size {n}: operator images diverge at n={k}")
-    return cases, fails
+                ok = symbol(image, k) == apply_autom_weyl(symbol(a, k), t)
+                yield ok, f"size {n}: operator images diverge at n={k}"
 
 
 def _chk_autom_discontinuity(ctx):
     if not ctx.sizes:
-        return 0, []
-    cases, fails = 0, []
+        return
     t = AutomorphismSpec(
         Fraction(0), PolyMatrix.identity(1, "v"), UniPoly.gen("p")
     )
     for k in range(1, 9):
         w = WeylMatrix([[WeylElement.q(k)]])
-        cases += 2
-        if q_valuation(w) != k:
-            fails.append(f"wrong valuation before the transform at n={k}")
-        if q_valuation(apply_autom_weyl(w, t)) != 0:
-            fails.append(f"valuation survived the re-basing at n={k}")
-    return cases, fails
+        yield q_valuation(w) == k, f"wrong valuation before the transform at n={k}"
+        ok = q_valuation(apply_autom_weyl(w, t)) == 0
+        yield ok, f"valuation survived the re-basing at n={k}"
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +546,6 @@ def _chk_autom_discontinuity(ctx):
 
 
 def _chk_structure_relations(ctx):
-    cases, fails = 0, []
     for n in ctx.sizes:
         if n > 2:
             continue
@@ -653,41 +561,34 @@ def _chk_structure_relations(ctx):
             y = ea1 * fb1
             first = ctx.nproducts(ea, fb)
             for k in range(len(first) + 1):
-                cases += 1
                 want = x if k == 0 else ConformalElement.zero(n)
-                if _at(first, k, n) != want:
-                    fails.append(f"size {n}: first relation broke at n={k}")
+                ok = _at(first, k, n) == want
+                yield ok, f"size {n}: first relation broke at n={k}"
             deriv = b * a1
             second, third = ctx.nproducts(x, ea1), ctx.nproducts(x, y)
             for k in range(max(len(second), len(third)) + 1):
                 core = _lift(a * deriv)
-                cases += 2
-                if _at(second, k, n) != core:
-                    fails.append(f"size {n}: second relation broke at n={k}")
-                if _at(third, k, n) != core * fb1:
-                    fails.append(f"size {n}: third relation broke at n={k}")
+                ok = _at(second, k, n) == core
+                yield ok, f"size {n}: second relation broke at n={k}"
+                ok = _at(third, k, n) == core * fb1
+                yield ok, f"size {n}: third relation broke at n={k}"
                 deriv = deriv.map(lambda f: f.derivative())
-    return cases, fails
 
 
 def _chk_classification_instances(ctx):
     if not ctx.sizes:
-        return 0, []
-    cases, fails = 0, []
+        return
     v = UniPoly.gen("v")
     one = UniPoly.const(1, "v")
     v_minus_d = BiPoly.v() - BiPoly.D()
 
-    def run(label, pres, verdict, check=None):
-        nonlocal cases
-        cases += 1
+    def run(label, pres, verdict, check):
         got = classify_irreducible(pres)
         if got.verdict != verdict or got.alarm:
-            fails.append(f"{label}: verdict {got.verdict}, alarm {got.alarm}")
-        elif check is not None and not check(got):
-            fails.append(f"{label}: certificate does not match")
+            return False, f"{label}: verdict {got.verdict}, alarm {got.alarm}"
+        return check(got), f"{label}: certificate does not match"
 
-    run(
+    yield run(
         "scalar current",
         SubalgebraPresentation(
             (ConformalElement.identity(1),), v_deg_bound=1, iter_bound=4
@@ -695,7 +596,7 @@ def _chk_classification_instances(ctx):
         "CurrentConjugate",
         lambda g: g.witness.q == PolyMatrix.identity(1, "v"),
     )
-    run(
+    yield run(
         "matrix current",
         SubalgebraPresentation(
             tuple(_unit(2, i, j) for i in range(2) for j in range(2)),
@@ -712,7 +613,7 @@ def _chk_classification_instances(ctx):
     twist = AutomorphismSpec(
         Fraction(0), PolyMatrix([[one, v], [UniPoly.zero("v"), one]], "v")
     )
-    run(
+    yield run(
         "conjugated current",
         SubalgebraPresentation(
             tuple(
@@ -731,7 +632,7 @@ def _chk_classification_instances(ctx):
             for j in range(2)
         ),
     )
-    run(
+    yield run(
         "scalar slice",
         SubalgebraPresentation(
             (e_nq(1, PolyMatrix([[v]], "v")),), v_deg_bound=3, iter_bound=8
@@ -739,7 +640,7 @@ def _chk_classification_instances(ctx):
         "LeftIdeal",
         lambda g: g.ideal_q == PolyMatrix([[v]], "v"),
     )
-    run(
+    yield run(
         "matrix slice",
         SubalgebraPresentation(
             (
@@ -754,7 +655,6 @@ def _chk_classification_instances(ctx):
         "LeftIdeal",
         lambda g: g.ideal_q == PolyMatrix.diag([one, v], "v"),
     )
-    return cases, fails
 
 
 _CHECKS = (
@@ -838,17 +738,17 @@ def verify_suite(
             eff["cases"],
             corrupt,
         )
-        cases, fails = fn(ctx)
-        total_cases += cases
-        total_failures += len(fails)
+        got = CheckResult.collect(fn(ctx))
+        total_cases += got.cases
+        total_failures += len(got.failures)
         entry = {
             "suite": suite_name,
             "tag": tag,
-            "cases": cases,
-            "failures": len(fails),
+            "cases": got.cases,
+            "failures": len(got.failures),
         }
-        if fails:
-            entry["examples"] = fails[:_MAX_EXAMPLES]
+        if got.failures:
+            entry["examples"] = list(got.failures[:_MAX_EXAMPLES])
         checks.append(entry)
     return {
         "seed": seed,

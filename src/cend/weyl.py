@@ -221,25 +221,23 @@ def verify_h_identities(h: UniPoly, k_max: int) -> CheckResult:
     pair = [[up[i] * lo[j] for j in range(k_max + 1 - i)] for i in range(k_max + 1)]
     zero = UniPoly.zero("p")
     one = UniPoly.const(1, "p")
-    failures: list[str] = []
-    cases = 0
-    for k in range(k_max + 1):
-        for xi in range(k + 1):
-            cases += 1
-            acc = zero
-            for s in range(xi, k + 1):
-                acc = acc + comb(k - xi, s - xi) * pair[s - xi][k - s]
-            want = one if xi == k else zero
-            if acc != want:
-                failures.append(f"convolution at k={k}, xi={xi}")
-            if xi < k:
-                cases += 1
+
+    def outcomes():
+        for k in range(k_max + 1):
+            for xi in range(k + 1):
                 acc = zero
-                for s in range(xi, k):
-                    acc = acc + comb(k, s) * comb(s, xi) * pair[s - xi][k - s]
-                if acc != -comb(k, xi) * up[k - xi]:
-                    failures.append(f"binomial at k={k}, xi={xi}")
-    return CheckResult(cases, tuple(failures))
+                for s in range(xi, k + 1):
+                    acc = acc + comb(k - xi, s - xi) * pair[s - xi][k - s]
+                want = one if xi == k else zero
+                yield acc == want, f"convolution at k={k}, xi={xi}"
+                if xi < k:
+                    acc = zero
+                    for s in range(xi, k):
+                        acc = acc + comb(k, s) * comb(s, xi) * pair[s - xi][k - s]
+                    want = -comb(k, xi) * up[k - xi]
+                    yield acc == want, f"binomial at k={k}, xi={xi}"
+
+    return CheckResult.collect(outcomes())
 
 
 def split_by_shift(a: WeylElement) -> tuple[WeylElement, UniPoly]:

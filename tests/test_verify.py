@@ -1,5 +1,6 @@
 """Behavior of the self-check harness: determinism, coverage, corruption."""
 
+import hashlib
 import random
 import re
 
@@ -8,6 +9,7 @@ import pytest
 import cend.conformal
 import cend.operators
 from cend.conformal import ConformalElement, check_associativity, check_lie
+from cend.errors import CheckResult
 from cend.operators import verify_composition
 from cend.sampling import rand_conformal
 from cend.serialize import canonical_dumps
@@ -71,12 +73,40 @@ class TestCorruption:
         assert "current-structure-relations" in bad
         for c in corrupt_report["checks"]:
             if c["failures"]:
+                assert type(c["examples"]) is list
                 assert 1 <= len(c["examples"]) <= 3
 
     def test_corruption_spares_pure_library_checks(self, corrupt_report):
         spared = {c["tag"] for c in corrupt_report["checks"] if not c["failures"]}
         assert "weyl-associativity" in spared
         assert "smith-witnesses" in spared
+
+    def test_failing_report_keeps_its_pinned_digest(self, corrupt_report):
+        # the golden verify report passes every case, so only this pin
+        # covers how failures are counted and which examples are kept
+        data = canonical_dumps(corrupt_report).encode()
+        assert (corrupt_report["cases"], corrupt_report["failures"]) == (583, 117)
+        assert len(data) == 3148
+        assert hashlib.sha256(data).hexdigest() == (
+            "57c21f079643b3f1935b3e2b5c09e7f23eb96d0b9184158618e07696776d34fb"
+        )
+
+
+class TestCollect:
+    def test_counts_the_outcomes_of_a_generator(self):
+        got = CheckResult.collect((k % 3 == 0, f"case {k}") for k in range(7))
+        assert got.cases == 7
+
+    def test_keeps_the_failures_in_order(self):
+        got = CheckResult.collect(
+            [(False, "c"), (True, "x"), (False, "a"), (True, "y"), (False, "b")]
+        )
+        assert got.failures == ("c", "a", "b")
+        assert got.ok is False
+
+    def test_empty_stream_is_ok_with_no_cases(self):
+        got = CheckResult.collect(iter(()))
+        assert (got.cases, got.failures, got.ok) == (0, (), True)
 
 
 # Every failure description a library check can produce.
