@@ -14,7 +14,8 @@ translation generator.  On top of them this module builds:
   (as a finitely encoded fixed-point computation): each product's integer
   numerators, read from the n-product sweep, are tested for membership in
   the current ``k[D]``-span by pseudo-division on integers, and only
-  non-members become ``Fraction`` rows for the Hermite reduction,
+  non-members become ``Fraction`` rows that extend the Hermite basis; only
+  the basis rows they change are decoded again,
 * the induced ``k[v]``-span of a closed subalgebra together with a
   directness analysis, and
 * the classification routine that decides whether an irreducible
@@ -46,6 +47,7 @@ from .errors import (
 )
 from .poly import (
     BiPoly,
+    HSubmoduleBasis,
     PolyMatrix,
     UniPoly,
     hermite_reduce,
@@ -399,11 +401,13 @@ def subalgebra_closure(pres: SubalgebraPresentation) -> ClosureResult:
         else:
             rows.append(vec)
     basis = hermite_reduce(rows, (bound + 1) * n * n)
-    elements = [_decode(r, n) for r in basis.rows]
+    # each basis element under its pivot; a row left unchanged by ``extend``
+    # keeps its element, and the changed rows are the next wave
+    elements = {p: _decode(r, n) for p, r in zip(basis.pivots, basis.rows)}
 
     fixed_point = False
     iterations = 0
-    fresh = list(elements)
+    fresh = elements
     while iterations < pres.iter_bound:
         iterations += 1
         # non-members in first-seen order, keyed by their set of terms; a
@@ -412,8 +416,13 @@ def subalgebra_closure(pres: SubalgebraPresentation) -> ClosureResult:
         # Pairs with at least one factor from the last wave suffice: older
         # pairs were already reduced against a smaller basis, and bases only
         # grow, so their products stay inside the span.
-        pool = [(a, b) for a in fresh for b in elements]
-        pool += [(a, b) for a in elements for b in fresh if a not in fresh]
+        pool = [(a, b) for a in fresh.values() for b in elements.values()]
+        pool += [
+            (a, b)
+            for p, a in elements.items()
+            if p not in fresh
+            for b in fresh.values()
+        ]
         for a, b in pool:
             products, den, over = _product_coords(a, b, bound)
             overflow = overflow or over
@@ -431,15 +440,19 @@ def subalgebra_closure(pres: SubalgebraPresentation) -> ClosureResult:
         if not new_rows:
             fixed_point = True
             break
-        basis = hermite_reduce(list(basis.rows) + list(new_rows.values()), basis.ncols)
-        decoded = [_decode(r, n) for r in basis.rows]
-        fresh = [e for e in decoded if e not in elements]
-        elements = decoded
+        old = dict(zip(basis.pivots, basis.rows))
+        basis = basis.extend(new_rows.values())
+        fresh = {
+            p: _decode(r, n)
+            for p, r in zip(basis.pivots, basis.rows)
+            if old.get(p) != r
+        }
+        elements = {p: fresh[p] if p in fresh else elements[p] for p in basis.pivots}
 
     return ClosureResult(
         n=n,
         v_deg_bound=bound,
-        elements=tuple(elements),
+        elements=tuple(elements.values()),
         fixed_point=fixed_point,
         overflow=overflow,
         iterations=iterations,
@@ -540,7 +553,7 @@ def kv_closure(
     rank_c = prefix.rank
     directness = "Direct"
     for t in range(1, bound + 1):
-        combined = hermite_reduce(list(prefix.rows) + layer(t), ncols)
+        combined = prefix.extend(layer(t))
         if combined.rank < prefix.rank + rank_c:
             directness = "Overlap" if t == 1 else "NonDirectNoOverlap"
             break
@@ -639,18 +652,18 @@ def _conjugation_witness(
         return None
     for col in range(n):
         columns: list[list[UniPoly]] = []
-        rank = 0
+        span = HSubmoduleBasis((), (), n)
         for mat in s0:
             vec = [mat.entry(i, col) for i in range(n)]
             if all(f.is_zero() for f in vec):
                 continue
-            grown = hermite_reduce(columns + [vec], n).rank
-            if grown > rank:
+            grown = span.extend([vec])
+            if grown.rank > span.rank:
                 columns.append(vec)
-                rank = grown
-            if rank == n:
+                span = grown
+            if span.rank == n:
                 break
-        if rank < n:
+        if span.rank < n:
             continue
         p_mat = PolyMatrix(
             [[columns[j][i] for j in range(n)] for i in range(n)], "v"

@@ -397,32 +397,20 @@ def nproduct_recursive(
     return go(a, n, b)
 
 
-def _degree_or_zero(d: int | None) -> int:
-    return 0 if d is None else d
-
-
 def locality_bound(a: ConformalElement, b: ConformalElement) -> int:
     """An upper bound for the locality of the pair (valid for both kinds)."""
-    return (
-        _degree_or_zero(a.deg_d)
-        + _degree_or_zero(b.deg_d)
-        + _degree_or_zero(a.deg_v)
-        + _degree_or_zero(b.deg_v)
-        + 1
-    )
+    _, _, _, da, va = a._term_form()
+    _, _, _, db, vb = b._term_form()
+    return (da or 0) + (db or 0) + (va or 0) + (vb or 0) + 1
 
 
 def _product_bound(
     a: ConformalElement, b: ConformalElement, circ: bool
 ) -> int:
     """The family's bound for the locality, at most ``locality_bound``."""
-    differentiated = a if circ else b
-    return (
-        _degree_or_zero(a.deg_d)
-        + _degree_or_zero(b.deg_d)
-        + _degree_or_zero(differentiated.deg_v)
-        + 1
-    )
+    _, _, _, da, va = a._term_form()
+    _, _, _, db, vb = b._term_form()
+    return (da or 0) + (db or 0) + ((va if circ else vb) or 0) + 1
 
 
 def locality(

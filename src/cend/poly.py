@@ -9,7 +9,9 @@ entries' monomials.  ``PolyMatrix`` is a dense matrix over k[x].  The two
 matrix normal forms everything else is built on are the Smith form with
 unimodular witnesses over k[x], which also inverts unimodular matrices, and
 a reduced echelon (Hermite) basis for finitely generated submodules of
-k[D]^L.
+k[D]^L.  A basis grows by ``extend``: each new row is reduced against the
+pivot rows by Euclid's algorithm on its leading coordinate, with no Bezout
+cofactors.
 
 All values are immutable after construction; every operation returns a new
 object. Zero coefficients are never stored, so structural equality is
@@ -21,7 +23,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatchError, NotUnimodularError
 
@@ -303,24 +305,6 @@ class UniPoly(_Sparse):
 
     def __repr__(self) -> str:
         return f"UniPoly[{self.var}]({self})"
-
-
-def poly_ext_gcd(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:
-    """Monic gcd g with a Bezout pair (u, w): u*a + w*b = g."""
-    a._require_same_tag(b)
-    var = a.var
-    r0, r1 = a, b
-    u0, u1 = UniPoly.const(1, var), UniPoly.zero(var)
-    w0, w1 = UniPoly.zero(var), UniPoly.const(1, var)
-    while r1:
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-        w0, w1 = w1, w0 - q * w1
-    if r0:
-        c = 1 / r0.lead
-        r0, u0, w0 = r0 * c, u0 * c, w0 * c
-    return r0, u0, w0
 
 
 class _PairPoly(_Sparse):
@@ -928,8 +912,53 @@ class HSubmoduleBasis:
                         del work[i]
         return True
 
-    def __iter__(self) -> Iterator[tuple[UniPoly, ...]]:
-        return iter(self.rows)
+    def extend(self, rows: Iterable[Sequence[UniPoly]]) -> "HSubmoduleBasis":
+        """The canonical basis of this span plus ``rows``.
+
+        Each new row is reduced against the pivot rows by Euclid's
+        algorithm on its leading coordinate: the quotient's multiple of the
+        pivot row is subtracted, and when a remainder is left the two rows
+        trade places, the remainder's row becoming the pivot.  Then every
+        pivot is made monic and the entries above later pivots reduced.
+        """
+        ncols = self.ncols
+        pivots = {p: list(r) for p, r in zip(self.pivots, self.rows)}
+        for r in rows:
+            if len(r) != ncols:
+                raise DimensionMismatchError("rows of unequal length")
+            r = list(r)
+            pos = 0
+            while True:
+                pos = next((i for i in range(pos, ncols) if r[i]._c), None)
+                if pos is None:
+                    break
+                b = pivots.setdefault(pos, r)
+                if b is r:
+                    break
+                f, rem = divmod(r[pos], b[pos])
+                if f:
+                    _sub_multiple(r, f, b, pos)
+                if rem:
+                    pivots[pos], r = r, b
+
+        order = sorted(pivots)
+        for pos in order:
+            row = pivots[pos]
+            lc = row[pos].lead
+            if lc != 1:
+                inv = Fraction(1) / lc
+                pivots[pos] = [e * inv if e._c else e for e in row]
+        # reduce entries above later pivots; later rows are already canonical
+        for idx in range(len(order) - 1, -1, -1):
+            pos = order[idx]
+            row = pivots[pos]
+            for pos2 in order[idx + 1 :]:
+                e = row[pos2]
+                if e:
+                    f = e // pivots[pos2][pos2]
+                    if f:
+                        _sub_multiple(row, f, pivots[pos2], pos2)
+        return HSubmoduleBasis([pivots[p] for p in order], order, ncols)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HSubmoduleBasis):
@@ -954,57 +983,9 @@ def hermite_reduce(
     rows: Iterable[Sequence[UniPoly]], ncols: int | None = None
 ) -> HSubmoduleBasis:
     """Echelonize generators of a submodule of k[D]^L into canonical form."""
-    work = [list(r) for r in rows]
     if ncols is None:
-        if not work:
+        rows = list(rows)
+        if not rows:
             raise ValueError("cannot infer coordinate count from no rows")
-        ncols = len(work[0])
-    if any(len(r) != ncols for r in work):
-        raise DimensionMismatchError("rows of unequal length")
-
-    pivots: dict[int, list[UniPoly]] = {}
-    queue = [r for r in work if any(r)]
-    while queue:
-        r = queue.pop()
-        while True:
-            pos = next((i for i, e in enumerate(r) if e._c), None)
-            if pos is None:
-                break
-            if pos not in pivots:
-                pivots[pos] = r
-                break
-            b = pivots[pos]
-            beta, rho = b[pos], r[pos]
-            f, rem = divmod(rho, beta)
-            if not rem:
-                _sub_multiple(r, f, b, pos)
-                continue
-            g, uu, ww = poly_ext_gcd(beta, rho)
-            # a pair of zero entries stays the zero it was
-            nb = [uu * a + ww * c if a._c or c._c else a for a, c in zip(b, r)]
-            cb = rho // g
-            cr = beta // g
-            nr = [cb * a - cr * c if a._c or c._c else a for a, c in zip(b, r)]
-            pivots[pos] = nb
-            r = nr
-
-    order = sorted(pivots)
-    for pos in order:
-        row = pivots[pos]
-        lc = row[pos].lead
-        if lc != 1:
-            inv = Fraction(1) / lc
-            pivots[pos] = [e * inv if e._c else e for e in row]
-    # reduce entries above later pivots; later rows are already canonical
-    for idx in range(len(order) - 1, -1, -1):
-        pos = order[idx]
-        row = pivots[pos]
-        for pos2 in order[idx + 1 :]:
-            e = row[pos2]
-            if e:
-                f = e // pivots[pos2][pos2]
-                if f:
-                    _sub_multiple(row, f, pivots[pos2], pos2)
-
-    return HSubmoduleBasis([pivots[p] for p in order], order, ncols)
-
+        ncols = len(rows[0])
+    return HSubmoduleBasis((), (), ncols).extend(rows)

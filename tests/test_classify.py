@@ -32,7 +32,14 @@ from cend.errors import (
     SingularMatrixError,
 )
 from cend.operators import symbol
-from cend.poly import BiPoly, PolyMatrix, UniPoly, hermite_reduce, smith_normal_form
+from cend.poly import (
+    BiPoly,
+    HSubmoduleBasis,
+    PolyMatrix,
+    UniPoly,
+    hermite_reduce,
+    smith_normal_form,
+)
 from cend.verify import verify_suite
 from cend.weyl import WeylElement, WeylMatrix, q_valuation
 
@@ -53,6 +60,20 @@ def unit(n, i, j, f=ONE):
 def upper_u():
     """The transvection [[1, v], [0, 1]]."""
     return PolyMatrix([[one_v, v], [zero_v, one_v]], "v")
+
+
+def matrix_slice(n, v_bound):
+    """The matrix units times ``Q(v - D)``, ``Q = P diag(1, ..., 1, v - 1) P^-1``
+    with the constant transvection ``P = 1 + e_(0, N-1)``: a left-ideal slice
+    whose closure has rank 92 at N = 4 and v-bound 5."""
+    ident = PolyMatrix.identity(n, "v")
+    corner = [[one_v if (i, j) == (0, n - 1) else zero_v for j in range(n)] for i in range(n)]
+    t = PolyMatrix(corner, "v")
+    diag = PolyMatrix.diag([one_v] * (n - 1) + [v - one_v], "v")
+    q = (ident + t) * diag * (ident - t)
+    qv = conformal_of(q, V - D)
+    gens = tuple(unit(n, i, j) * qv for i in range(n) for j in range(n))
+    return SubalgebraPresentation(gens, v_bound, 8)
 
 
 def conformal_of(q, arg):
@@ -671,19 +692,40 @@ class TestProductVectors:
 
     def test_closure_queues_each_non_member_once(self, monkeypatch):
         # e01 (0) v e10 and v e01 (0) e10 are both v e00, a non-member in the
-        # first round; each round's rows reach hermite_reduce without repeats
+        # first round; each round's rows extend the basis without repeats
         seen = []
-        reduce = cend.classify.hermite_reduce
+        extend = HSubmoduleBasis.extend
 
-        def spy(rows, ncols):
-            seen.append(rows)
-            return reduce(rows, ncols)
+        def spy(self, rows):
+            rows = list(rows)
+            if self.rank:  # a closure round, not the generators' basis
+                seen.append(rows)
+            return extend(self, rows)
 
-        monkeypatch.setattr(cend.classify, "hermite_reduce", spy)
+        monkeypatch.setattr(HSubmoduleBasis, "extend", spy)
         gens = [unit(2, 0, 1), unit(2, 1, 0), unit(2, 0, 1, V), unit(2, 1, 0, V)]
         subalgebra_closure(SubalgebraPresentation(tuple(gens), 3, 8))
+        assert seen
         for rows in seen:
             assert len({tuple(r) for r in rows}) == len(rows)
+
+    def test_closure_bookkeeping_is_linear_in_the_rank(self, monkeypatch):
+        # the closure finds last round's elements by pivot, not by comparing
+        # elements; a scan over the element lists costs ~rank^2 comparisons
+        calls = 0
+        eq = ConformalElement.__eq__
+
+        def spy(self, other):
+            nonlocal calls
+            calls += 1
+            return eq(self, other)
+
+        pres = matrix_slice(4, 5)
+        monkeypatch.setattr(ConformalElement, "__eq__", spy)
+        got = subalgebra_closure(pres)
+        monkeypatch.undo()
+        assert got.fixed_point and len(got.elements) == 92
+        assert calls <= len(got.elements)
 
 
 class TestKvIdealMatrix:

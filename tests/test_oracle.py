@@ -21,9 +21,9 @@ from cend.poly import (  # noqa: E402
     PolyMatrix,
     UniPoly,
     hermite_reduce,
-    poly_ext_gcd,
     smith_normal_form,
 )
+from test_poly import poly_ext_gcd  # noqa: E402
 
 X = symbols("x")
 SEEDS = range(30)

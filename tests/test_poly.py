@@ -14,7 +14,6 @@ from cend.poly import (
     PolyMatrix,
     UniPoly,
     hermite_reduce,
-    poly_ext_gcd,
     rat,
     smith_normal_form,
     unimodular_inverse,
@@ -82,6 +81,23 @@ class TestUniPoly:
         assert rat("3/4") == Fraction(3, 4)
         assert rat("-2") == Fraction(-2)
         assert rat(5) == Fraction(5)
+
+
+def poly_ext_gcd(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:
+    """Monic gcd g with a Bezout pair (u, w): u*a + w*b = g."""
+    var = a.var
+    r0, r1 = a, b
+    u0, u1 = UniPoly.const(1, var), UniPoly.zero(var)
+    w0, w1 = UniPoly.zero(var), UniPoly.const(1, var)
+    while r1:
+        q, r = divmod(r0, r1)
+        r0, r1 = r1, r
+        u0, u1 = u1, u0 - q * u1
+        w0, w1 = w1, w0 - q * w1
+    if r0:
+        c = 1 / r0.lead
+        r0, u0, w0 = r0 * c, u0 * c, w0 * c
+    return r0, u0, w0
 
 
 @st.composite
@@ -428,6 +444,49 @@ DZ = UniPoly.zero("D")
 D1 = UniPoly.const(1, "D")
 
 
+def bezout_hermite_reduce(rows, ncols):
+    """The canonical Hermite basis, with two rows that share a pivot
+    coordinate merged by the Bezout cofactors of their leading entries:
+    a reference for ``hermite_reduce`` and ``HSubmoduleBasis.extend``."""
+
+    def sub_multiple(r, f, b, start):
+        for i in range(start, ncols):
+            if b[i]:
+                r[i] = r[i] - f * b[i]
+
+    pivots = {}
+    queue = [list(r) for r in rows if any(r)]
+    while queue:
+        r = queue.pop()
+        while True:
+            pos = next((i for i, e in enumerate(r) if e), None)
+            if pos is None:
+                break
+            if pos not in pivots:
+                pivots[pos] = r
+                break
+            b = pivots[pos]
+            beta, rho = b[pos], r[pos]
+            f, rem = divmod(rho, beta)
+            if not rem:
+                sub_multiple(r, f, b, pos)
+                continue
+            g, uu, ww = poly_ext_gcd(beta, rho)
+            cb, cr = rho // g, beta // g
+            pivots[pos] = [uu * a + ww * c for a, c in zip(b, r)]
+            r = [cb * a - cr * c for a, c in zip(b, r)]
+
+    order = sorted(pivots)
+    for pos in order:
+        inv = 1 / pivots[pos][pos].lead
+        pivots[pos] = [e * inv for e in pivots[pos]]
+    for idx in range(len(order) - 1, -1, -1):
+        row = pivots[order[idx]]
+        for pos2 in order[idx + 1 :]:
+            sub_multiple(row, row[pos2] // pivots[pos2][pos2], pivots[pos2], pos2)
+    return HSubmoduleBasis([pivots[p] for p in order], order, ncols)
+
+
 def ints(vec, scale=1):
     """A vector of k[D]^L in ``member``'s sparse integer form: ``scale``
     times its numerators over the lcm of its denominators."""
@@ -610,3 +669,37 @@ class TestSparseMembership:
                 i: {d: x // content for d, x in p.items()} for i, p in form.items()
             }
             assert basis.member(primitive) == got
+
+
+class TestExtend:
+    """``hermite_reduce`` and ``extend`` against the Bezout reference, on
+    rational rows, staircases with pivots of degree >= 2, and rows that
+    reduce to zero."""
+
+    @given(st.integers(1, 8), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_extend_matches_bezout_reference(self, ncols, data):
+        rows = data.draw(sparse_rows(ncols))
+        coeffs = data.draw(
+            st.lists(
+                unipolys(var="D", max_deg=2, coeff=QCOEFF),
+                min_size=len(rows),
+                max_size=len(rows),
+            )
+        )
+        dependent = [DZ] * ncols
+        for c, row in zip(coeffs, rows):
+            dependent = [a + c * b for a, b in zip(dependent, row)]
+        for extra in (dependent, [DZ] * ncols):
+            rows.insert(data.draw(st.integers(0, len(rows))), extra)
+        expected = bezout_hermite_reduce(rows, ncols)
+
+        assert hermite_reduce(rows, ncols) == expected
+        cut = data.draw(st.integers(0, len(rows)))
+        assert hermite_reduce(rows[:cut], ncols).extend(rows[cut:]) == expected
+        assert expected.extend([]) == expected
+        assert expected.extend(expected.rows) == expected
+
+    def test_row_of_wrong_length_is_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            hermite_reduce([[D]], 2).extend([[D, DZ, DZ]])
