@@ -21,8 +21,9 @@ translation generator.  On top of them this module builds:
 * the classification routine that decides whether an irreducible
   subalgebra is conjugate to a current algebra or equal to a left ideal.
 
-Everything is exact; verdicts that depend on a degree bound say so instead
-of guessing.
+Everything is exact; where a bound (the v-degree bound, the closure's
+iteration cap, the density pool's operator index) leaves the answer open,
+the verdict is ``Unknown`` with a reason instead of a guess.
 """
 
 from __future__ import annotations
@@ -683,7 +684,6 @@ def _conjugation_witness(
 
 def classify_irreducible(
     pres: SubalgebraPresentation,
-    deg_bound: int = 6,
     n_bound: int = 6,
 ) -> Classification:
     """Decide whether a presentation is current-conjugate or a left ideal.
@@ -693,22 +693,17 @@ def classify_irreducible(
     searched for and verified), an overlap at ``v * C`` points at the left
     ideal whose matrix ``kv_closure`` extracted and certified to contain
     ``C``, and anything else contradicts irreducibility and raises the alarm
-    flag.  Density of the generated module is checked first; without it no
-    positive verdict is attempted.
+    flag.  Density of the generated module is checked first, exactly over
+    ``k[p]`` by ``orbit_density_check`` for the pool of words of length
+    <= 2 and operator index <= ``n_bound``; without it no positive verdict
+    is attempted.
     """
     from .operators import orbit_density_check
 
     bound = pres.v_deg_bound
-    density = orbit_density_check(
-        list(pres.generators), deg_bound=deg_bound, n_bound=n_bound
-    )
+    density = orbit_density_check(list(pres.generators), n_bound=n_bound)
     if density.verdict != "Dense":
         reason = "irreducibility precondition not established: " + density.reason
-        if density.c is not None and density.c > deg_bound:
-            reason += (
-                f" (density degree bound {deg_bound} is below the operator "
-                f"pool's gain {density.c})"
-            )
         return Classification(verdict="Unknown", bound=bound, reason=reason)
 
     closure = subalgebra_closure(pres)

@@ -260,7 +260,7 @@ def _cmd_verify(args, payload):
 
 def _cmd_classify(args, payload):
     pres = _presentation(args, payload)
-    got = classify_irreducible(pres, deg_bound=args.deg_bound, n_bound=args.n)
+    got = classify_irreducible(pres, n_bound=args.n)
     return classification_to_json(got), render_classification(got), 0
 
 
@@ -278,9 +278,7 @@ def _cmd_density(args, payload):
     gens = _field(payload, "generators")
     if not isinstance(gens, list):
         raise ValueError("field 'generators' must be a list")
-    got = orbit_density_check(
-        [conformal_from_json(g) for g in gens], args.deg_bound, args.n
-    )
+    got = orbit_density_check([conformal_from_json(g) for g in gens], args.n)
     text = got.verdict + (f" ({got.reason})" if got.reason else "")
     return density_to_json(got), text, 0
 
@@ -358,7 +356,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--suite", default="all", choices=("all",) + SUITES, help="check group"
     )
     p = add("classify", "classify the subalgebra a presentation generates")
-    p.add_argument("--deg-bound", type=int, default=6, help="density degree bound")
     p.add_argument("--n", type=int, default=6, help="density operator index bound")
     p.add_argument("--iter-bound", type=int, default=None, help="closure iteration cap")
     p = add("kv-closure", "coefficient closure and its ideal certificate")
@@ -366,7 +363,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("closure", "product closure of a presentation")
     p.add_argument("--iter-bound", type=int, default=None, help="closure iteration cap")
     p = add("density", "certify dense operator action on the column space")
-    p.add_argument("--deg-bound", type=int, default=6, help="orbit degree bound")
     p.add_argument("--n", type=int, default=6, help="operator index bound")
     return parser
 

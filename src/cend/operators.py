@@ -18,9 +18,9 @@ orbit-density certificate used as a precondition for classification.
 That certificate applies the operator pool once to each constant basis
 vector e_k. Since q kills constants, a(n) e_k is column k of A_n, that is of
 a's D^n coefficient up to the scalar (-1)^n n!, so the pool is read straight
-off the words' coefficient maps: for n <= n_bound, those columns and their
-p-multiples up to the degree bound must span every p^j e_l with
-j <= deg_bound - c, where c is the largest v-degree among the coefficients.
+off the words' coefficient maps: for n <= n_bound, the k[p]-span of those
+columns is V_N exactly when its canonical Hermite basis (``hermite_reduce``)
+is the identity, which needs no degree bound.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .errors import (
     InsufficientSamplesError,
     NotDifferentialError,
 )
-from .poly import PolyMatrix, UniPoly
+from .poly import PolyMatrix, UniPoly, hermite_reduce
 from .weyl import WeylMatrix
 
 
@@ -236,64 +236,21 @@ def verify_composition(
     return CheckResult.collect(outcomes())
 
 
-Vector = dict[tuple[int, int], Fraction]  # (component, p-degree) -> coeff
-
-
-class _SpanBuilder:
-    """Incremental row reduction over Q for sparse vectors."""
-
-    def __init__(self):
-        self.rows: dict[tuple[int, int], Vector] = {}
-
-    def reduce(self, vec: Vector) -> Vector:
-        vec = dict(vec)
-        while vec:
-            lead = max(vec)
-            row = self.rows.get(lead)
-            if row is None:
-                return vec
-            c = vec[lead]
-            for k, a in row.items():
-                nv = vec[k] - c * a if k in vec else -(c * a)
-                if nv:
-                    vec[k] = nv
-                else:
-                    vec.pop(k, None)
-        return vec
-
-    def insert(self, vec: Vector) -> bool:
-        vec = self.reduce(vec)
-        if not vec:
-            return False
-        lead = max(vec)
-        inv = Fraction(1) / vec[lead]
-        self.rows[lead] = {k: a * inv for k, a in vec.items()}
-        return True
-
-    def contains(self, vec: Vector) -> bool:
-        return not self.reduce(vec)
-
-
 @dataclass(frozen=True)
 class DensityResult:
-    """Verdict of the orbit-density certificate with the bounds behind it.
+    """Verdict of the orbit-density certificate with the bound behind it.
 
-    ``c`` is the largest v-degree among the words' D^n coefficients with
-    n <= n_bound (0 when there are none); it and the two bounds are ``None``
-    when no pool was built, ``reason`` is ``None`` exactly when the verdict
-    is Dense.
+    ``n_bound`` is ``None`` when no pool was built; ``reason`` is ``None``
+    exactly when the verdict is Dense.
     """
 
     verdict: str
     reason: str | None = None
-    c: int | None = None
-    deg_bound: int | None = None
     n_bound: int | None = None
 
 
 def orbit_density_check(
     generators: Sequence[ConformalElement],
-    deg_bound: int,
     n_bound: int,
 ) -> DensityResult:
     """Certify that the operators act densely on V_N = k[p]^N.
@@ -301,13 +258,14 @@ def orbit_density_check(
     The operator pool consists of the symbols a(n), n <= n_bound, of all
     words a of length <= 2 in the generators, premultiplied by powers of p.
     It is applied once to each standard basis vector e_k, whose image under
-    a(n) is column k of a's D^n coefficient (up to a nonzero scalar). Those
-    columns and their p-multiples of degree <= deg_bound must span every
-    p^j e_l with j <= deg_bound - c, where c is the largest v-degree among
-    the coefficients read. Returns a verdict of Dense or Unknown (a bounded
-    search can never certify a negative); the pool is "too small" when it
-    reads no coefficient or deg_bound < c.
+    a(n) is column k of a's D^n coefficient (up to a nonzero scalar). The
+    k[p]-span of those columns is V_N exactly when its canonical Hermite
+    basis is the identity. Otherwise the first component l whose pivot is
+    missing or not a constant gives e_l outside the span, and the verdict
+    is Unknown (a larger pool may still be dense), naming that l.
     """
+    if n_bound < 0:
+        raise ValueError("n_bound must be nonnegative")
     if not generators:
         return DensityResult("Unknown", "no generators")
     size = generators[0].n
@@ -323,33 +281,28 @@ def orbit_density_check(
                     words.append(w)
 
     # columns[k][(word, n)] is the pool's image of e_k: column k of the
-    # word's D^n coefficient, up to the nonzero scalar (-1)^n n!
-    columns: list[dict[tuple[int, int], Vector]] = [{} for _ in range(size)]
-    c = 0
+    # word's D^n coefficient, up to the nonzero scalar (-1)^n n!, held as
+    # {component: {p-degree: coefficient}}
+    columns: list[dict[tuple[int, int], dict]] = [{} for _ in range(size)]
     for i, w in enumerate(words):
         for (r, k, n, e), x in w._c.items():
             if n <= n_bound:
-                columns[k].setdefault((i, n), {})[(r, e)] = x
-                c = max(c, e)
-    target_deg = deg_bound - c
-    if target_deg < 0 or not any(columns):
-        reason = "degree bound too small for the operator pool"
-        return DensityResult("Unknown", reason, c, deg_bound, n_bound)
+                columns[k].setdefault((i, n), {}).setdefault(r, {})[e] = x
 
+    zero = UniPoly.zero("p")
     for k, column in enumerate(columns):
-        span = _SpanBuilder()
-        for vec in column.values():
-            for _ in range(deg_bound + 1):
-                if max(d for (_, d) in vec) > deg_bound:
-                    break
-                span.insert(vec)
-                vec = {(l, d + 1): x for (l, d), x in vec.items()}  # times p
+        rows = [
+            [UniPoly._new(vec[l], "p") if l in vec else zero for l in range(size)]
+            for vec in column.values()
+        ]
+        basis = hermite_reduce(rows, size)
+        units = {
+            pos for pos, row in zip(basis.pivots, basis.rows) if not row[pos].degree
+        }
         for l in range(size):
-            for j in range(target_deg + 1):
-                if not span.contains({(l, j): Fraction(1)}):
-                    reason = (
-                        f"orbit of basis vector {k} misses "
-                        f"degree {j} in component {l}"
-                    )
-                    return DensityResult("Unknown", reason, c, deg_bound, n_bound)
-    return DensityResult("Dense", None, c, deg_bound, n_bound)
+            if l not in units:
+                reason = (
+                    f"orbit of basis vector {k} misses degree 0 in component {l}"
+                )
+                return DensityResult("Unknown", reason, n_bound)
+    return DensityResult("Dense", None, n_bound)

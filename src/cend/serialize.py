@@ -321,8 +321,6 @@ def density_to_json(r: DensityResult) -> dict:
     fields = {
         "verdict": r.verdict,
         "reason": r.reason,
-        "c": r.c,
-        "degBound": r.deg_bound,
         "nBound": r.n_bound,
     }
     return {k: v for k, v in fields.items() if v is not None}

@@ -403,9 +403,9 @@ def test_12_desk_scale_classification_returns_the_expected_verdicts():
             assert canonicalize_Q(got.ideal_q)[0] == canonicalize_Q(
                 expected_q
             )[0]
-        dens = orbit_density_check(list(gens), 6, 6)
+        dens = orbit_density_check(list(gens), 6)
         assert dens.verdict == "Dense"
-        assert dens.deg_bound <= 6
+        assert dens.n_bound == 6
 
 
 def test_13_current_and_shift_generators_satisfy_the_structure_relations():

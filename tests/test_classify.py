@@ -1015,21 +1015,14 @@ class TestClassify:
         assert got.ideal_q == PolyMatrix.identity(1, "v")
 
     @pytest.mark.parametrize("bound", [8, 9])
-    def test_density_bound_below_the_gain_is_named(self, bound):
+    def test_r_conjugated_units_are_current_conjugate(self, bound):
         """The matrix units conjugated by R = [[2v^4 + 1, v^2], [2v^2, 1]]
-        reach v-degree 8, so the density certificate needs deg_bound >= 8."""
+        reach v-degree 8; the exact density check needs no degree bound, so
+        the default arguments find a witness."""
         r = PolyMatrix([[2 * v**4 + one_v, v * v], [2 * v * v, one_v]], "v")
         t = AutomorphismSpec(Fraction(0), r)
         gens = tuple(apply_autom(unit(2, i, j), t) for i in range(2) for j in range(2))
-        pres = SubalgebraPresentation(gens, v_deg_bound=bound)
-        got = classify_irreducible(pres)
-        assert got.verdict == "Unknown"
-        assert got.reason == (
-            "irreducibility precondition not established: degree bound too "
-            "small for the operator pool (density degree bound 6 is below the "
-            "operator pool's gain 8)"
-        )
-        got = classify_irreducible(pres, deg_bound=8)
+        got = classify_irreducible(SubalgebraPresentation(gens, v_deg_bound=bound))
         assert got.verdict == "CurrentConjugate"
         for g in gens:
             assert apply_autom(g, got.witness).deg_v in (None, 0)

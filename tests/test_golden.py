@@ -54,7 +54,30 @@ CONJUGATED_CURRENT = (
     '],"iterBound":4,"vDegBound":2}'
 )
 
-# Density certificates: the N=1 identity is Dense; v*Id_1 is Unknown with c.
+# The 2x2 matrix units under (0, R, 0), R = [[2v^4 + 1, v^2], [2v^2, 1]], at
+# v-bound 8: the generators reach v-degree 8, and the exact density check
+# lets classification find the witness at the default bounds.
+R_CONJUGATED = (
+    '{"generators":['
+    '{"N":2,"entries":[[[[0,0,"1"],[0,4,"2"],[1,3,"-8"],[2,2,"12"],[3,1,"-8"],'
+    '[4,0,"2"]],[[0,2,"1"],[1,1,"-2"],[2,0,"1"]]],[[[0,2,"-2"],[0,6,"-4"],'
+    '[1,5,"16"],[2,4,"-24"],[3,3,"16"],[4,2,"-4"]],[[0,4,"-2"],[1,3,"4"],'
+    '[2,2,"-2"]]]]},'
+    '{"N":2,"entries":[[[[0,2,"2"],[1,1,"-4"],[2,0,"2"]],[[0,0,"1"]]],'
+    '[[[0,4,"-4"],[1,3,"8"],[2,2,"-4"]],[[0,2,"-2"]]]]},'
+    '{"N":2,"entries":[[[[0,2,"-1"],[0,6,"-2"],[1,5,"8"],[2,4,"-12"],[3,3,"8"],'
+    '[4,2,"-2"]],[[0,4,"-1"],[1,3,"2"],[2,2,"-1"]]],[[[0,0,"1"],[0,4,"4"],'
+    '[0,8,"4"],[1,3,"-8"],[1,7,"-16"],[2,2,"12"],[2,6,"24"],[3,1,"-8"],'
+    '[3,5,"-16"],[4,0,"2"],[4,4,"4"]],[[0,2,"1"],[0,6,"2"],[1,1,"-2"],'
+    '[1,5,"-4"],[2,0,"1"],[2,4,"2"]]]]},'
+    '{"N":2,"entries":[[[[0,4,"-2"],[1,3,"4"],[2,2,"-2"]],[[0,2,"-1"]]],'
+    '[[[0,2,"2"],[0,6,"4"],[1,1,"-4"],[1,5,"-8"],[2,0,"2"],[2,4,"4"]],'
+    '[[0,0,"1"],[0,4,"2"]]]]}'
+    '],"vDegBound":8}'
+)
+
+# Density certificates: the N=1 identity is Dense; v*Id_1 is Unknown, since
+# every column of its pool is divisible by p.
 IDENTITY_1 = '{"generators":[{"N":1,"entries":[[[[0,0,"1"]]]]}]}'
 V_ID1 = '{"generators":[{"N":1,"entries":[[[[0,1,"1"]]]]}]}'
 # The upper-triangular current algebra e00, e01, e11 at N=2: the orbit of e_0
@@ -66,8 +89,8 @@ UPPER_TRIANGULAR = (
     '{"N":2,"entries":[[[],[]],[[],[[0,0,"1"]]]]}'
     "]}"
 )
-# 1 + D^2 v^3 at --n 0: only the D^0 coefficient is read, so c is 0 and the
-# D^2 term neither enters the pool nor raises c.
+# 1 + D^2 v^3 at --n 0: only the D^0 coefficient is read, so the D^2 term
+# does not enter the pool.
 N_BOUND_CUT = '{"generators":[{"N":1,"entries":[[[[0,0,"1"],[2,3,"1"]]]]}]}'
 
 # The operator side.  A 2x2 element with D^2 terms and rational coefficients,
@@ -110,13 +133,14 @@ CASES = [
     ("classify_matrix_slice.txt", ["classify"], MATRIX_SLICE),
     ("closure_matrix_slice_b5.txt", ["closure"], MATRIX_SLICE_B5),
     ("classify_conjugated_current.txt", ["classify"], CONJUGATED_CURRENT),
+    ("classify_r_conjugated.txt", ["classify"], R_CONJUGATED),
     ("verify_weyl_seed7.txt", ["verify", "--suite", "weyl", "--seed", "7"], ""),
     ("verify_seed42.txt", ["verify", "--seed", "42"], ""),
-    ("density_identity.txt", ["density", "--deg-bound", "4", "--n", "2"], IDENTITY_1),
-    ("density_v_id1.txt", ["density", "--deg-bound", "3", "--n", "3"], V_ID1),
+    ("density_identity.txt", ["density", "--n", "2"], IDENTITY_1),
+    ("density_v_id1.txt", ["density", "--n", "3"], V_ID1),
     ("density_no_generators.txt", ["density"], '{"generators": []}'),
     ("density_upper_triangular.txt", ["density"], UPPER_TRIANGULAR),
-    ("density_n_bound_cut.txt", ["density", "--deg-bound", "2", "--n", "0"], N_BOUND_CUT),
+    ("density_n_bound_cut.txt", ["density", "--n", "0"], N_BOUND_CUT),
     ("hseq_identities.txt", ["hseq", "--n", "4"], '{"action": "identities", "h": [[1, "1"]]}'),
     ("symbol.txt", ["symbol", "--n", "3"], SYMBOL_ELEMENT),
     ("symbol_render.txt", ["symbol", "--n", "3", "--render"], SYMBOL_ELEMENT),

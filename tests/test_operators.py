@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,6 @@ from cend.operators import (
     reconstruct,
     symbol,
     verify_composition,
-    _SpanBuilder,
 )
 from cend.poly import BiPoly, PolyMatrix, UniPoly
 from cend.weyl import WeylElement, WeylMatrix
@@ -217,12 +217,47 @@ def curr_generators(n):
     return out
 
 
-def pool_density_reference(generators, deg_bound, n_bound):
-    """The orbit-density check with its pool built as operators: every symbol
-    a(n), n <= n_bound, of every word applied to each e_k term by term, and c
-    the largest p-degree minus q-degree over all operator terms."""
-    if not generators:
-        return DensityResult("Unknown", "no generators")
+class _SpanBuilder:
+    """Incremental row reduction over Q for sparse vectors
+    ``{(component, p-degree): coefficient}``."""
+
+    def __init__(self):
+        self.rows = {}
+
+    def reduce(self, vec):
+        vec = dict(vec)
+        while vec:
+            lead = max(vec)
+            row = self.rows.get(lead)
+            if row is None:
+                return vec
+            c = vec[lead]
+            for k, a in row.items():
+                nv = vec[k] - c * a if k in vec else -(c * a)
+                if nv:
+                    vec[k] = nv
+                else:
+                    vec.pop(k, None)
+        return vec
+
+    def insert(self, vec):
+        vec = self.reduce(vec)
+        if not vec:
+            return False
+        lead = max(vec)
+        inv = Fraction(1) / vec[lead]
+        self.rows[lead] = {k: a * inv for k, a in vec.items()}
+        return True
+
+    def contains(self, vec):
+        return not self.reduce(vec)
+
+
+@lru_cache(maxsize=4)
+def _pool_images(generators, n_bound):
+    """Every symbol a(n), n <= n_bound, of every word applied to each e_k
+    term by term, as ``images[k]``, and c, the largest p-degree minus
+    q-degree over all operator terms (or None when the pool is empty)."""
     size = generators[0].n
     words = [g for g in generators if not g.is_zero()]
     for g1 in generators:
@@ -230,17 +265,18 @@ def pool_density_reference(generators, deg_bound, n_bound):
             for w in nproducts(g1, g2)[: n_bound + 1]:
                 if not w.is_zero() and w not in words:
                     words.append(w)
-    ops = [element_sequence(w).operator(n) for w in words for n in range(n_bound + 1)]
+    seqs = [element_sequence(w) for w in words]
+    ops = [seq.operator(n) for seq in seqs for n in range(n_bound + 1)]
     ops = [op for op in ops if not op.is_zero()]
+    if not ops:
+        return None, []
     c = max(
         [0]
         + [dp - dq for op in ops for row in op.rows for e in row for dp, dq, _ in e.items()]
     )
-    if deg_bound < c or not ops:
-        reason = "degree bound too small for the operator pool"
-        return DensityResult("Unknown", reason, c, deg_bound, n_bound)
+    images = []
     for k in range(size):
-        span = _SpanBuilder()
+        images.append([])
         for op in ops:
             vec = {}
             for r in range(size):
@@ -248,16 +284,33 @@ def pool_density_reference(generators, deg_bound, n_bound):
                     term = a * _falling(0, dq)  # p^dp q^dq applied to p^0
                     if term:
                         vec[(r, dp - dq)] = vec.get((r, dp - dq), 0) + term
-            vec = {key: x for key, x in vec.items() if x}
+            images[k].append({key: x for key, x in vec.items() if x})
+    return c, images
+
+
+def pool_density_reference(generators, deg_bound, n_bound):
+    """The orbit-density check as a bounded sufficient test, with its pool
+    built as operators (``_pool_images``): the images of each e_k and their
+    p-multiples of degree <= deg_bound must span every p^j e_l with
+    j <= deg_bound - c."""
+    if not generators:
+        return DensityResult("Unknown", "no generators")
+    c, images = _pool_images(tuple(generators), n_bound)
+    if c is None or deg_bound < c:
+        reason = "degree bound too small for the operator pool"
+        return DensityResult("Unknown", reason, n_bound)
+    for k, column in enumerate(images):
+        span = _SpanBuilder()
+        for vec in column:
             while vec and max(d for (_, d) in vec) <= deg_bound:
                 span.insert(vec)
                 vec = {(l, d + 1): x for (l, d), x in vec.items()}
-        for l in range(size):
+        for l in range(len(images)):
             for j in range(deg_bound - c + 1):
                 if not span.contains({(l, j): Fraction(1)}):
                     reason = f"orbit of basis vector {k} misses degree {j} in component {l}"
-                    return DensityResult("Unknown", reason, c, deg_bound, n_bound)
-    return DensityResult("Dense", None, c, deg_bound, n_bound)
+                    return DensityResult("Unknown", reason, n_bound)
+    return DensityResult("Dense", None, n_bound)
 
 
 def density_generators(n):
@@ -274,37 +327,33 @@ def density_generators(n):
 
 
 class TestDensity:
-    @given(
-        st.integers(1, 3).flatmap(density_generators),
-        st.integers(0, 7),
-        st.integers(0, 6),
-    )
+    @given(st.integers(1, 3).flatmap(density_generators), st.integers(0, 6))
     @settings(max_examples=150, deadline=None)
-    def test_matches_the_operator_pool(self, gens, deg_bound, n_bound):
-        """Reading the pool off the D^n coefficients gives the verdict, c
-        and reason of applying every pool operator to e_k."""
-        assert orbit_density_check(gens, deg_bound, n_bound) == pool_density_reference(
-            gens, deg_bound, n_bound
-        )
+    def test_matches_the_operator_pool(self, gens, n_bound):
+        """The exact check is Dense wherever the bounded reference is Dense
+        at some degree bound 0..7; equivalently, where the exact check is
+        Unknown, the reference is Unknown at every such bound."""
+        if orbit_density_check(gens, n_bound).verdict == "Dense":
+            return
+        for deg_bound in range(8):
+            ref = pool_density_reference(gens, deg_bound, n_bound)
+            assert ref.verdict == "Unknown", (deg_bound, ref)
 
     def test_scalar_current(self):
-        res = orbit_density_check([ConformalElement.identity(1)], 4, 2)
-        assert res.verdict == "Dense"
-        assert res.c == 0
+        res = orbit_density_check([ConformalElement.identity(1)], 2)
+        assert res == DensityResult("Dense", None, 2)
 
     def test_matrix_current(self):
-        res = orbit_density_check(curr_generators(2), 4, 2)
+        res = orbit_density_check(curr_generators(2), 2)
         assert res.verdict == "Dense"
 
     def test_d_times_identity_is_unknown(self):
-        res = orbit_density_check([d_id(2)], 5, 3)
+        res = orbit_density_check([d_id(2)], 3)
         assert res.verdict == "Unknown"
 
     def test_principal_generator(self):
-        res = orbit_density_check([ce1(V - D)], 4, 2)
+        res = orbit_density_check([ce1(V - D)], 2)
         assert res.verdict == "Dense"
-        # the length-2 word (v-D)(0)(v-D) = v^2 - Dv contributes the shift
-        assert res.c == 2
 
     def test_empty(self):
-        assert orbit_density_check([], 4, 2).verdict == "Unknown"
+        assert orbit_density_check([], 2).verdict == "Unknown"
