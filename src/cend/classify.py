@@ -18,11 +18,12 @@ translation generator.  On top of them this module builds:
   the basis rows they change are decoded again,
 * the induced ``k[v]``-span of a closed subalgebra together with a
   directness analysis, and
-* the classification routine that decides whether an irreducible
-  subalgebra is conjugate to a current algebra or equal to a left ideal.
+* the classification routine that decides whether a densely acting
+  subalgebra equals a conjugate ``R * Cur_N * R^{-1}`` of the current
+  algebra at the bound, or is cut out by a left ideal.
 
-Everything is exact; where a bound (the v-degree bound, the closure's
-iteration cap, the density pool's operator index) leaves the answer open,
+Everything is exact; where a bound (the v-degree bound or the closure's
+iteration cap) leaves the answer open, or density shows the input reducible,
 the verdict is ``Unknown`` with a reason instead of a guess.
 """
 
@@ -608,11 +609,12 @@ def _ambient_samples(n: int) -> list[ConformalElement]:
 class Classification:
     """Outcome of the irreducible-subalgebra classification.
 
-    ``verdict`` is one of ``"CurrentConjugate"`` (with a conjugating
-    ``witness``), ``"LeftIdeal"`` (with the cut-out matrix ``ideal_q``), or
-    ``"Unknown"`` (with a ``reason``).  ``alarm`` marks the pattern that the
-    structure theory excludes for genuinely irreducible inputs; it is
-    reported rather than silently coerced into one of the good verdicts.
+    ``verdict`` is one of ``"CurrentConjugate"`` (with a ``witness`` R
+    such that C = R * Cur_N * R^{-1} at the bound), ``"LeftIdeal"`` (with
+    the cut-out matrix ``ideal_q``), or ``"Unknown"`` (with a ``reason``).
+    ``alarm`` marks the pattern that the structure theory excludes for
+    genuinely irreducible inputs; it is reported rather than silently
+    coerced into one of the good verdicts.
     """
 
     verdict: str
@@ -636,8 +638,8 @@ def _lowest_order_matrices(elements) -> list[PolyMatrix]:
 
 def _conjugation_witness(
     closure: ClosureResult,
-) -> AutomorphismSpec | None:
-    """Search for ``R`` with ``R^{-1}(v) * C * R(v - D)`` free of ``v``.
+) -> tuple[AutomorphismSpec | None, str | None]:
+    """Search for ``R`` with ``R^{-1}(v) * C * R(v - D)`` equal to Cur_N.
 
     Candidate columns are drawn, untouched, from the orbit of a coordinate
     vector under the lowest-order coefficient matrices of the closure basis.
@@ -645,12 +647,15 @@ def _conjugation_witness(
     witness has to capture, so only rank bookkeeping uses echelon form.)
     When independent columns fill a square matrix ``P`` whose Smith form
     ``T * P * U`` is ``f * I``, the candidate ``P / f = T^{-1} * U^{-1}`` is
-    unimodular; it is then verified against every basis element.
+    unimodular. The images of the basis elements under it must be free of
+    ``v``, so that ``R^{-1} C R`` lies in Cur_N, and must span all of Cur_N
+    over ``k[D]``.  Returns ``(R, None)``, or ``(None, reason)``.
     """
     n = closure.n
+    missing = "direct k[v]-span but no conjugating witness found at this bound"
     s0 = _lowest_order_matrices(closure.elements)
     if not s0:
-        return None
+        return None, missing
     for col in range(n):
         columns: list[list[UniPoly]] = []
         span = HSubmoduleBasis((), (), n)
@@ -674,18 +679,20 @@ def _conjugation_witness(
         if any(diag.entry(i, i) != f for i in range(n)):
             continue
         witness = AutomorphismSpec(Fraction(0), p_mat.map(lambda e: e // f))
-        if all(
-            apply_autom(x, witness).deg_v in (None, 0)
-            for x in closure.elements
-        ):
-            return witness
-    return None
+        rows = []
+        for x in closure.elements:
+            row = _encode(apply_autom(x, witness), 0)
+            if row is None:
+                break
+            rows.append(row)
+        else:
+            if hermite_reduce(rows, n * n).is_full():
+                return witness, None
+            return None, "the witness carries C onto a proper subalgebra of Cur_N"
+    return None, missing
 
 
-def classify_irreducible(
-    pres: SubalgebraPresentation,
-    n_bound: int = 6,
-) -> Classification:
+def classify_irreducible(pres: SubalgebraPresentation) -> Classification:
     """Decide whether a presentation is current-conjugate or a left ideal.
 
     The decision procedure follows the structure of the span ``k[v] * C``:
@@ -693,15 +700,15 @@ def classify_irreducible(
     searched for and verified), an overlap at ``v * C`` points at the left
     ideal whose matrix ``kv_closure`` extracted and certified to contain
     ``C``, and anything else contradicts irreducibility and raises the alarm
-    flag.  Density of the generated module is checked first, exactly over
-    ``k[p]`` by ``orbit_density_check`` for the pool of words of length
-    <= 2 and operator index <= ``n_bound``; without it no positive verdict
-    is attempted.
+    flag.  Density on ``V_N = k[p]^N`` is decided first, exactly, by
+    ``orbit_density_check``; it is necessary for irreducibility, so a
+    ``Reducible`` answer (whose invariant submodule the reason names) or an
+    empty generator list ends in ``Unknown``.
     """
     from .operators import orbit_density_check
 
     bound = pres.v_deg_bound
-    density = orbit_density_check(list(pres.generators), n_bound=n_bound)
+    density = orbit_density_check(list(pres.generators))
     if density.verdict != "Dense":
         reason = "irreducibility precondition not established: " + density.reason
         return Classification(verdict="Unknown", bound=bound, reason=reason)
@@ -726,14 +733,6 @@ def classify_irreducible(
             alarm=True,
         )
 
-    witness = _conjugation_witness(closure)
-    if witness is not None:
-        return Classification(
-            verdict="CurrentConjugate", bound=bound, witness=witness
-        )
-    return Classification(
-        verdict="Unknown",
-        bound=bound,
-        reason="direct k[v]-span but no conjugating witness found "
-        "at this bound",
-    )
+    witness, reason = _conjugation_witness(closure)
+    verdict = "Unknown" if witness is None else "CurrentConjugate"
+    return Classification(verdict, bound, witness=witness, reason=reason)

@@ -260,7 +260,7 @@ def _cmd_verify(args, payload):
 
 def _cmd_classify(args, payload):
     pres = _presentation(args, payload)
-    got = classify_irreducible(pres, n_bound=args.n)
+    got = classify_irreducible(pres)
     return classification_to_json(got), render_classification(got), 0
 
 
@@ -278,7 +278,7 @@ def _cmd_density(args, payload):
     gens = _field(payload, "generators")
     if not isinstance(gens, list):
         raise ValueError("field 'generators' must be a list")
-    got = orbit_density_check([conformal_from_json(g) for g in gens], args.n)
+    got = orbit_density_check([conformal_from_json(g) for g in gens])
     text = got.verdict + (f" ({got.reason})" if got.reason else "")
     return density_to_json(got), text, 0
 
@@ -356,14 +356,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "--suite", default="all", choices=("all",) + SUITES, help="check group"
     )
     p = add("classify", "classify the subalgebra a presentation generates")
-    p.add_argument("--n", type=int, default=6, help="density operator index bound")
     p.add_argument("--iter-bound", type=int, default=None, help="closure iteration cap")
     p = add("kv-closure", "coefficient closure and its ideal certificate")
     p.add_argument("--iter-bound", type=int, default=None, help="closure iteration cap")
     p = add("closure", "product closure of a presentation")
     p.add_argument("--iter-bound", type=int, default=None, help="closure iteration cap")
-    p = add("density", "certify dense operator action on the column space")
-    p.add_argument("--n", type=int, default=6, help="operator index bound")
+    add("density", "decide dense operator action on the column space")
     return parser
 
 

@@ -12,15 +12,12 @@ generate all of it, and a(n) has positive q-valuation once n passes the top
 index. This module converts both ways (symbol / reconstruct, with
 fit_differential_sequence recovering the list from sampled operators),
 implements the action of operator matrices back on elements, checks the
-composition rules that make the correspondence multiplicative, and runs the
-orbit-density certificate used as a precondition for classification.
+composition rules that make the correspondence multiplicative, and decides
+orbit density, the precondition of classification.
 
-That certificate applies the operator pool once to each constant basis
-vector e_k. Since q kills constants, a(n) e_k is column k of A_n, that is of
-a's D^n coefficient up to the scalar (-1)^n n!, so the pool is read straight
-off the words' coefficient maps: for n <= n_bound, the k[p]-span of those
-columns is V_N exactly when its canonical Hermite basis (``hermite_reduce``)
-is the identity, which needs no degree bound.
+The density check closes each e_k's orbit over k[p] under the generators'
+operators in one Hermite basis, exactly and with no bound on words,
+operator indices or degrees (see ``orbit_density_check``).
 """
 
 from __future__ import annotations
@@ -30,14 +27,14 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Sequence
 
-from .conformal import ConformalElement, _falling, nproduct, nproducts
+from .conformal import ConformalElement, _falling, nproduct
 from .errors import (
     CheckResult,
     DimensionMismatchError,
     InsufficientSamplesError,
     NotDifferentialError,
 )
-from .poly import PolyMatrix, UniPoly, hermite_reduce
+from .poly import HSubmoduleBasis, PolyMatrix, UniPoly
 from .weyl import WeylMatrix
 
 
@@ -238,71 +235,89 @@ def verify_composition(
 
 @dataclass(frozen=True)
 class DensityResult:
-    """Verdict of the orbit-density certificate with the bound behind it.
+    """Verdict of the orbit-density check.
 
-    ``n_bound`` is ``None`` when no pool was built; ``reason`` is ``None``
+    ``verdict`` is ``"Dense"``, ``"Reducible"`` with ``submodule`` the
+    canonical basis of a nonzero proper invariant k[p]-submodule of V_N, or
+    ``"Unknown"`` when there are no generators. ``reason`` is ``None``
     exactly when the verdict is Dense.
     """
 
     verdict: str
     reason: str | None = None
-    n_bound: int | None = None
+    submodule: tuple[tuple[UniPoly, ...], ...] | None = None
 
 
-def orbit_density_check(
-    generators: Sequence[ConformalElement],
-    n_bound: int,
-) -> DensityResult:
-    """Certify that the operators act densely on V_N = k[p]^N.
+def _symbol_on_vector(a: ConformalElement, n: int, vec: Sequence) -> list[UniPoly]:
+    """a(n) applied to a vector over k[p], times a's common denominator: the
+    term D^s v^d at (r, c) acts as (-1)^s s! C(n,s) p^d q^(n-s) (see
+    ``symbol``), and q^m sends p^j to (j)_m p^(j-m)."""
+    out: list[dict] = [{} for _ in range(a.n)]
+    for r, c, s, d, x in a._term_form()[0]:
+        m = n - s
+        if m >= 0:
+            w = x * factorial(s) * comb(n, s) * (-1) ** s
+            acc = out[r]
+            for j, y in vec[c]._c.items():
+                if j >= m:
+                    e = d + j - m
+                    acc[e] = acc.get(e, 0) + y * (w * _falling(j, m))
+    return [UniPoly._new(acc, "p") for acc in out]
 
-    The operator pool consists of the symbols a(n), n <= n_bound, of all
-    words a of length <= 2 in the generators, premultiplied by powers of p.
-    It is applied once to each standard basis vector e_k, whose image under
-    a(n) is column k of a's D^n coefficient (up to a nonzero scalar). The
-    k[p]-span of those columns is V_N exactly when its canonical Hermite
-    basis is the identity. Otherwise the first component l whose pivot is
-    missing or not a constant gives e_l outside the span, and the verdict
-    is Unknown (a larger pool may still be dense), naming that l.
+
+def orbit_density_check(generators: Sequence[ConformalElement]) -> DensityResult:
+    """Decide whether the generated algebra C acts densely on V_N = k[p]^N.
+
+    C is dense when the k[p]-span M_k of C e_k is V_N for every k. M_k is the
+    smallest k[p]-submodule that holds each g(n) e_k and is invariant under
+    each g(n), g a generator, and a finite loop computes it exactly:
+
+    * C's operators are the sums of products of the g(n): by the rules that
+      ``verify_composition`` checks, a(n) b(m) is a sum of operators of
+      a (i) b, and (a (m) b)(n) one of products a(i) b(j); (D a)(n) is
+      -n a(n-1);
+    * a(n) p = p a(n) + n a(n-1), from qp - pq = 1, so a submodule is
+      invariant once each g(n) maps each of its basis rows b into it, and
+      g(n) b = 0 for n > (top D-degree of g) + deg b.
+
+    The loop extends e_k's Hermite basis by those images of every row new to
+    it (a row that keeps its place had its images absorbed before), until
+    the basis is the identity or stops changing, as it must: k[p]^N is
+    Noetherian. Otherwise the verdict is Reducible. A nonzero M_k is a
+    proper C-invariant submodule; if M_k = 0, every operator kills k[p] e_k,
+    which is proper for N >= 2, and at N = 1 the generators are zero and
+    p k[p] is invariant.
     """
-    if n_bound < 0:
-        raise ValueError("n_bound must be nonnegative")
     if not generators:
         return DensityResult("Unknown", "no generators")
     size = generators[0].n
     for g in generators:
         if g.n != size:
             raise DimensionMismatchError("generators of mixed size")
+    tops = [(g, g.deg_d) for g in generators if not g.is_zero()]
 
-    words: list[ConformalElement] = [g for g in generators if not g.is_zero()]
-    for g1 in generators:
-        for g2 in generators:
-            for w in nproducts(g1, g2)[: n_bound + 1]:
-                if not w.is_zero() and w not in words:
-                    words.append(w)
-
-    # columns[k][(word, n)] is the pool's image of e_k: column k of the
-    # word's D^n coefficient, up to the nonzero scalar (-1)^n n!, held as
-    # {component: {p-degree: coefficient}}
-    columns: list[dict[tuple[int, int], dict]] = [{} for _ in range(size)]
-    for i, w in enumerate(words):
-        for (r, k, n, e), x in w._c.items():
-            if n <= n_bound:
-                columns[k].setdefault((i, n), {}).setdefault(r, {})[e] = x
-
-    zero = UniPoly.zero("p")
-    for k, column in enumerate(columns):
-        rows = [
-            [UniPoly._new(vec[l], "p") if l in vec else zero for l in range(size)]
-            for vec in column.values()
-        ]
-        basis = hermite_reduce(rows, size)
-        units = {
-            pos for pos, row in zip(basis.pivots, basis.rows) if not row[pos].degree
-        }
-        for l in range(size):
-            if l not in units:
-                reason = (
-                    f"orbit of basis vector {k} misses degree 0 in component {l}"
-                )
-                return DensityResult("Unknown", reason, n_bound)
-    return DensityResult("Dense", None, n_bound)
+    zero, one = UniPoly.zero("p"), UniPoly.const(1, "p")
+    for k in range(size):
+        unit = tuple(one if l == k else zero for l in range(size))
+        basis = HSubmoduleBasis((), (), size)
+        fresh = [unit]
+        while fresh and not basis.is_full():
+            old = dict(zip(basis.pivots, basis.rows))
+            basis = basis.extend(
+                _symbol_on_vector(g, n, b)
+                for b in fresh
+                for g, top in tops
+                for n in range(top + max(e.degree or 0 for e in b) + 1)
+            )
+            fresh = [r for p, r in zip(basis.pivots, basis.rows) if old.get(p) != r]
+        if basis.is_full():
+            continue
+        if basis.rank:
+            rows, lead = basis.rows, f"the orbit of basis vector {k} spans"
+        else:
+            rows = (unit,) if size > 1 else ((UniPoly.gen("p"),),)
+            lead = f"every operator kills basis vector {k}, so there is"
+        text = "; ".join("(" + ", ".join(map(str, r)) + ")" for r in rows)
+        reason = f"{lead} a proper invariant submodule with basis {text}"
+        return DensityResult("Reducible", reason, rows)
+    return DensityResult("Dense")

@@ -833,6 +833,11 @@ class HSubmoduleBasis:
     def rank(self) -> int:
         return len(self.rows)
 
+    def is_full(self) -> bool:
+        """Whether the span is all of k[D]^L: every pivot is a constant."""
+        pairs = zip(self.pivots, self.rows)
+        return self.rank == self.ncols and all(not r[p].degree for p, r in pairs)
+
     def _integer_rows(self) -> dict:
         """``{pivot: (L, pivot degree, [(coordinate, {D-degree: numerator})])}``.
 

@@ -318,12 +318,12 @@ def kv_result_to_json(r: KvClosureResult) -> dict:
 
 
 def density_to_json(r: DensityResult) -> dict:
-    fields = {
-        "verdict": r.verdict,
-        "reason": r.reason,
-        "nBound": r.n_bound,
-    }
-    return {k: v for k, v in fields.items() if v is not None}
+    out: dict[str, Any] = {"verdict": r.verdict}
+    if r.reason is not None:
+        out["reason"] = r.reason
+    if r.submodule is not None:
+        out["submodule"] = [[unipoly_to_json(e) for e in row] for row in r.submodule]
+    return out
 
 
 def classification_to_json(c: Classification) -> dict:

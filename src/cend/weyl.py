@@ -57,14 +57,6 @@ class WeylElement(_PairPoly):
         """A polynomial read in p."""
         return cls._new({(d, 0): a for d, a in f._c.items()})
 
-    @property
-    def deg_p(self) -> int | None:
-        return max(i for i, _ in self._c) if self._c else None
-
-    @property
-    def deg_q(self) -> int | None:
-        return max(j for _, j in self._c) if self._c else None
-
     def __mul__(self, other: "WeylElement | Scalar") -> "WeylElement":
         if isinstance(other, WeylElement):
             return weyl_mul(self, other)

@@ -31,7 +31,7 @@ from cend.errors import (
     NotUnimodularError,
     SingularMatrixError,
 )
-from cend.operators import symbol
+from cend.operators import orbit_density_check, symbol
 from cend.poly import (
     BiPoly,
     HSubmoduleBasis,
@@ -1044,3 +1044,16 @@ class TestClassify:
         got = classify_irreducible(pres)
         assert got.verdict == "Unknown"
         assert "precondition" in got.reason
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_cyclic_shift_is_not_a_conjugated_current(self, n):
+        """The shift S = sum_k e_(k+1)k (the swap matrix at n = 2) acts
+        densely, and the identity strips v from C = k[D]{S^i}; but C has
+        k[D]-rank n < n^2, so it is no conjugate of Cur_n."""
+        shift = sum(
+            (unit(n, (k + 1) % n, k) for k in range(n)), ConformalElement.zero(n)
+        )
+        assert orbit_density_check([shift]).verdict == "Dense"
+        got = classify_irreducible(SubalgebraPresentation((shift,), v_deg_bound=1))
+        assert got.verdict == "Unknown"
+        assert got.reason == "the witness carries C onto a proper subalgebra of Cur_N"

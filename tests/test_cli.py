@@ -117,17 +117,15 @@ class TestHappyPaths:
                 "iterBound": 4,
             }
         )
-        status, out, _ = cli(["classify", "--n", "4"], payload)
+        status, out, _ = cli(["classify"], payload)
         assert status == 0
         assert json.loads(out)["verdict"] == "CurrentConjugate"
 
     def test_density_uses_camel_case_keys(self, cli):
         payload = '{"generators": [%s]}' % V_ID1
-        status, out, _ = cli(["density", "--n", "3"], payload)
+        status, out, _ = cli(["density"], payload)
         assert status == 0
-        got = json.loads(out)
-        assert set(got) == {"verdict", "nBound", "reason"}
-        assert "n_bound" not in got
+        assert set(json.loads(out)) == {"verdict", "reason", "submodule"}
 
 
 def _stub_report(ok: bool) -> dict:
@@ -229,16 +227,6 @@ class TestErrorPaths:
             status, out, err = cli(["closure"], payload)
             assert status == 2 and out == ""
             assert json.loads(err)["error"] == "MalformedInput"
-
-    @pytest.mark.parametrize("command", ["density", "classify"])
-    def test_negative_operator_index_bound_exits_two(self, cli, command):
-        payload = '{"generators":[%s],"vDegBound":1}' % V_ID1
-        status, out, err = cli([command, "--n", "-1"], payload)
-        assert status == 2 and out == ""
-        assert json.loads(err) == {
-            "error": "MalformedInput",
-            "message": "n_bound must be nonnegative",
-        }
 
     @pytest.mark.parametrize(
         "command,payload",

@@ -76,12 +76,12 @@ R_CONJUGATED = (
     '],"vDegBound":8}'
 )
 
-# Density certificates: the N=1 identity is Dense; v*Id_1 is Unknown, since
-# every column of its pool is divisible by p.
+# Density: the N=1 identity is Dense; v*Id_1 is Reducible, since every
+# operator maps k[p] into p*k[p].
 IDENTITY_1 = '{"generators":[{"N":1,"entries":[[[[0,0,"1"]]]]}]}'
 V_ID1 = '{"generators":[{"N":1,"entries":[[[[0,1,"1"]]]]}]}'
 # The upper-triangular current algebra e00, e01, e11 at N=2: the orbit of e_0
-# stays in component 0, so the certificate names that miss.
+# stays in component 0, so k[p]*e_0 is the invariant submodule.
 UPPER_TRIANGULAR = (
     '{"generators":['
     '{"N":2,"entries":[[[[0,0,"1"]],[]],[[],[]]]},'
@@ -89,9 +89,12 @@ UPPER_TRIANGULAR = (
     '{"N":2,"entries":[[[],[]],[[],[[0,0,"1"]]]]}'
     "]}"
 )
-# 1 + D^2 v^3 at --n 0: only the D^0 coefficient is read, so the D^2 term
-# does not enter the pool.
-N_BOUND_CUT = '{"generators":[{"N":1,"entries":[[[[0,0,"1"],[2,3,"1"]]]]}]}'
+# The N=3 cyclic shift e10 + e21 + e02: Dense, but the orbit of e_0 reaches
+# e_0 again only through a word of length 3.
+CYCLIC_SHIFT = (
+    '{"generators":[{"N":3,"entries":'
+    '[[[],[],[[0,0,"1"]]],[[[0,0,"1"]],[],[]],[[],[[0,0,"1"]],[]]]}]}'
+)
 
 # The operator side.  A 2x2 element with D^2 terms and rational coefficients,
 # [[3/2 D^2 v + v^2, -D], [0, 2 + 1/3 D^2]], for `symbol`.
@@ -136,11 +139,11 @@ CASES = [
     ("classify_r_conjugated.txt", ["classify"], R_CONJUGATED),
     ("verify_weyl_seed7.txt", ["verify", "--suite", "weyl", "--seed", "7"], ""),
     ("verify_seed42.txt", ["verify", "--seed", "42"], ""),
-    ("density_identity.txt", ["density", "--n", "2"], IDENTITY_1),
-    ("density_v_id1.txt", ["density", "--n", "3"], V_ID1),
+    ("density_identity.txt", ["density"], IDENTITY_1),
+    ("density_v_id1.txt", ["density"], V_ID1),
     ("density_no_generators.txt", ["density"], '{"generators": []}'),
     ("density_upper_triangular.txt", ["density"], UPPER_TRIANGULAR),
-    ("density_n_bound_cut.txt", ["density", "--n", "0"], N_BOUND_CUT),
+    ("density_cyclic_shift.txt", ["density"], CYCLIC_SHIFT),
     ("hseq_identities.txt", ["hseq", "--n", "4"], '{"action": "identities", "h": [[1, "1"]]}'),
     ("symbol.txt", ["symbol", "--n", "3"], SYMBOL_ELEMENT),
     ("symbol_render.txt", ["symbol", "--n", "3", "--render"], SYMBOL_ELEMENT),

@@ -11,6 +11,7 @@ from cend.operators import (
     DensityResult,
     DifferentialSequence,
     OperatorSample,
+    _symbol_on_vector,
     act,
     element_sequence,
     fit_differential_sequence,
@@ -19,7 +20,7 @@ from cend.operators import (
     symbol,
     verify_composition,
 )
-from cend.poly import BiPoly, PolyMatrix, UniPoly
+from cend.poly import BiPoly, PolyMatrix, UniPoly, hermite_reduce
 from cend.weyl import WeylElement, WeylMatrix
 
 D = BiPoly.D()
@@ -298,7 +299,7 @@ def pool_density_reference(generators, deg_bound, n_bound):
     c, images = _pool_images(tuple(generators), n_bound)
     if c is None or deg_bound < c:
         reason = "degree bound too small for the operator pool"
-        return DensityResult("Unknown", reason, n_bound)
+        return DensityResult("Unknown", reason)
     for k, column in enumerate(images):
         span = _SpanBuilder()
         for vec in column:
@@ -309,8 +310,8 @@ def pool_density_reference(generators, deg_bound, n_bound):
             for j in range(deg_bound - c + 1):
                 if not span.contains({(l, j): Fraction(1)}):
                     reason = f"orbit of basis vector {k} misses degree {j} in component {l}"
-                    return DensityResult("Unknown", reason, n_bound)
-    return DensityResult("Dense", None, n_bound)
+                    return DensityResult("Unknown", reason)
+    return DensityResult("Dense")
 
 
 def density_generators(n):
@@ -326,34 +327,101 @@ def density_generators(n):
     )
 
 
+def _apply_operator(op, vec):
+    """An operator matrix applied to a vector over k[p], term by term:
+    p^i q^m sends p^j to (j)_m p^(i+j-m)."""
+    out = []
+    for r in range(op.n):
+        acc = {}
+        for c, f in enumerate(vec):
+            for i, m, a in op.entry(r, c).items():
+                for j, y in f.items():
+                    if j >= m:
+                        e = i + j - m
+                        acc[e] = acc.get(e, 0) + a * y * _falling(j, m)
+        out.append(UniPoly(acc, "p"))
+    return out
+
+
+def assert_proper_invariant(gens, submodule):
+    """The submodule is a nonzero proper k[p]-submodule of V_N in canonical
+    form, and the symbols a(n), n < 8, of every word a of length <= 2 map
+    p^j times each basis row, j < 3, back into it."""
+    basis = hermite_reduce(submodule, gens[0].n)
+    assert basis.rows == submodule
+    assert basis.rank and not basis.is_full()
+    words = list(gens) + [w for a in gens for b in gens for w in nproducts(a, b)]
+    p = UniPoly.gen("p")
+    vecs = [[f * p**j for f in row] for row in submodule for j in range(3)]
+    for w in words:
+        for n in range(8):
+            op = symbol(w, n)
+            images = [_apply_operator(op, vec) for vec in vecs]
+            assert basis.extend(images) == basis, (w, n)
+
+
 class TestDensity:
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda k: elements(n=k, max_dd=3, max_dv=2, coeff=RATIONAL)
+        ),
+        st.integers(0, 5),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_vector_action_matches_the_symbol(self, a, n, data):
+        """The density loop's action on a vector is a(n) = symbol(a, n),
+        scaled by a's common denominator."""
+        poly = st.dictionaries(st.integers(0, 4), RATIONAL, max_size=3)
+        vec = [UniPoly(data.draw(poly), "p") for _ in range(a.n)]
+        den = a._term_form()[2]
+        want = [f * den for f in _apply_operator(symbol(a, n), vec)]
+        assert _symbol_on_vector(a, n, vec) == want
+
     @given(st.integers(1, 3).flatmap(density_generators), st.integers(0, 6))
     @settings(max_examples=150, deadline=None)
     def test_matches_the_operator_pool(self, gens, n_bound):
         """The exact check is Dense wherever the bounded reference is Dense
-        at some degree bound 0..7; equivalently, where the exact check is
-        Unknown, the reference is Unknown at every such bound."""
-        if orbit_density_check(gens, n_bound).verdict == "Dense":
+        at some degree bound 0..7 and operator index n_bound; equivalently,
+        where the exact check is not Dense, the reference is Unknown at every
+        such bound."""
+        if orbit_density_check(gens).verdict == "Dense":
             return
         for deg_bound in range(8):
             ref = pool_density_reference(gens, deg_bound, n_bound)
             assert ref.verdict == "Unknown", (deg_bound, ref)
 
+    @given(st.integers(1, 3).flatmap(density_generators))
+    @settings(max_examples=60, deadline=None)
+    def test_reducible_submodule_is_proper_and_invariant(self, gens):
+        res = orbit_density_check(gens)
+        assert res.verdict in ("Dense", "Reducible")
+        if res.verdict == "Reducible":
+            assert_proper_invariant(gens, res.submodule)
+
     def test_scalar_current(self):
-        res = orbit_density_check([ConformalElement.identity(1)], 2)
-        assert res == DensityResult("Dense", None, 2)
+        res = orbit_density_check([ConformalElement.identity(1)])
+        assert res == DensityResult("Dense")
 
     def test_matrix_current(self):
-        res = orbit_density_check(curr_generators(2), 2)
+        res = orbit_density_check(curr_generators(2))
         assert res.verdict == "Dense"
 
-    def test_d_times_identity_is_unknown(self):
-        res = orbit_density_check([d_id(2)], 3)
-        assert res.verdict == "Unknown"
+    def test_d_times_identity_is_reducible(self):
+        res = orbit_density_check([d_id(2)])
+        assert res.verdict == "Reducible"
+        assert res.submodule == ((UniPoly.const(1, "p"), UniPoly.zero("p")),)
+        assert_proper_invariant([d_id(2)], res.submodule)
+
+    def test_zero_generators_kill_a_line(self):
+        res = orbit_density_check([ConformalElement.zero(2)])
+        assert res.submodule == ((UniPoly.const(1, "p"), UniPoly.zero("p")),)
+        res = orbit_density_check([ConformalElement.zero(1)])
+        assert res.submodule == ((UniPoly.gen("p"),),)
 
     def test_principal_generator(self):
-        res = orbit_density_check([ce1(V - D)], 2)
+        res = orbit_density_check([ce1(V - D)])
         assert res.verdict == "Dense"
 
     def test_empty(self):
-        assert orbit_density_check([], 2).verdict == "Unknown"
+        assert orbit_density_check([]) == DensityResult("Unknown", "no generators")
