@@ -11,11 +11,11 @@ translation generator.  On top of them this module builds:
   with ``U`` is divisible by ``d_j`` in every D-coefficient,
 * a canonical form for the matrix that cuts out a left ideal,
 * closure of a finitely generated subalgebra under all n-products
-  (as a finitely encoded fixed-point computation): each product's integer
+  (as a finitely encoded fixed-point computation): the generators' basis
+  multiplies each new basis row on the left, each product's integer
   numerators, read from the n-product sweep, are tested for membership in
   the current ``k[D]``-span by pseudo-division on integers, and only
-  non-members become ``Fraction`` rows that extend the Hermite basis; only
-  the basis rows they change are decoded again,
+  non-members become ``Fraction`` rows that extend the Hermite basis,
 * the induced ``k[v]``-span of a closed subalgebra together with a
   directness analysis, and
 * the classification routine that decides whether a densely acting
@@ -52,6 +52,7 @@ from .poly import (
     HSubmoduleBasis,
     PolyMatrix,
     UniPoly,
+    close_under,
     hermite_reduce,
     rat,
     smith_normal_form,
@@ -281,7 +282,10 @@ def canonicalize_Q(
 
 @dataclass(frozen=True)
 class SubalgebraPresentation:
-    """Finite generating data: generators plus the degree/iteration budget."""
+    """Finite generating data: generators plus the degree/iteration budget.
+    Each closure round adds one generator letter to the words spanned, so
+    ``iter_bound`` caps their length (a round of pairs, which
+    ``classify_irreducible`` falls back on, doubles it)."""
 
     generators: tuple[ConformalElement, ...]
     v_deg_bound: int
@@ -307,9 +311,11 @@ class ClosureResult:
 
     ``elements`` is a canonical echelon basis of the computed span as a
     ``k[D]``-module.  ``fixed_point`` says whether another round of products
-    added nothing; ``overflow`` says whether some product was discarded for
-    exceeding the v-degree bound.  The two flags are independent: a span can
-    be stable at the bound while still producing out-of-bound products.
+    added nothing (or the span holds everything inside the bound);
+    ``overflow`` says whether some product was discarded for exceeding the
+    v-degree bound.  The two flags are independent: a span can be stable at
+    the bound while still producing out-of-bound products.  ``iterations``
+    counts rounds, each adding one generator letter: word length.
     """
 
     n: int
@@ -377,88 +383,89 @@ def _product_coords(
 def _decode(vec: list[UniPoly], n: int) -> ConformalElement:
     c: dict = {}
     for idx, f in enumerate(vec):
-        e, rest = divmod(idx, n * n)
-        r, col = divmod(rest, n)
-        for d, a in f._c.items():
-            c[r, col, d, e] = a
+        if f._c:
+            e, rest = divmod(idx, n * n)
+            r, col = divmod(rest, n)
+            for d, a in f._c.items():
+                c[r, col, d, e] = a
     return ConformalElement._new(c, n)
+
+
+def _close(pres: SubalgebraPresentation, pairs) -> ClosureResult:
+    """Extend the generators' Hermite basis B by the products of
+    ``pairs(B's elements, fresh rows, basis)`` until it stops changing."""
+    n, bound = pres.n, pres.v_deg_bound
+    rows = [_encode(g, bound) for g in pres.generators]
+    overflow = None in rows
+    basis = hermite_reduce([r for r in rows if r is not None], (bound + 1) * n * n)
+    gens = [_decode(r, n) for r in basis.rows]
+
+    def images(fresh, basis):
+        nonlocal overflow
+        # non-members keyed by their set of terms; a repeat would be
+        # reduced again
+        new_rows: dict[frozenset, list[UniPoly]] = {}
+        for a, b in pairs(gens, fresh, basis):
+            products, den, over = _product_coords(a, b, bound)
+            overflow = overflow or over
+            for ints in products:
+                if basis.member(ints):
+                    continue
+                coords = {
+                    i: {d: Fraction(x, den) for d, x in p.items()}
+                    for i, p in ints.items()
+                }
+                key = frozenset(
+                    (i, d, x) for i, p in coords.items() for d, x in p.items()
+                )
+                if key not in new_rows:
+                    new_rows[key] = _vector(coords, n, bound)
+        # fewest terms first: short rows settle the pivots, and the long ones
+        # then reduce against them instead of compounding quotients
+        return sorted(new_rows.values(), key=lambda r: sum(len(e._c) for e in r))
+
+    basis, rounds, fixed = close_under(basis, basis.rows, images, pres.iter_bound)
+    elements = tuple(_decode(r, n) for r in basis.rows)
+    # an empty presentation has N = 0, and the empty basis of k[D]^0 is full
+    overflow = overflow or n > 0 and basis.is_full()
+    return ClosureResult(n, bound, elements, fixed, overflow, rounds)
 
 
 def subalgebra_closure(pres: SubalgebraPresentation) -> ClosureResult:
     """Close the generators under all n-products inside the v-degree bound.
 
-    Products whose v-degree exceeds the bound are dropped (and flagged);
-    everything else is absorbed into a canonical ``k[D]``-module basis until
-    it stops growing or the iteration budget runs out.
+    The closure is the smallest ``k[D]``-module M that holds the generators'
+    Hermite basis B and is closed under ``g (n) .`` for g in B.  It is closed
+    under every n-product: the x with ``x (m) M`` inside M for all m form a
+    ``k[D]``-module (``(D x) (m) c = -m x (m-1) c``) that holds B and, by the
+    left-expansion identity that ``check_associativity`` checks,
+    ``(g (n) x) (m) c = sum_s (-1)^s C(n,s) g (n-s) (x (m+s) c)``, is closed
+    under each ``g (n) .``, so it holds M.  So ``close_under`` sweeps only
+    (element of B, new row) pairs, and each round adds one generator letter
+    to the words spanned: ``iterations`` counts word length.  Products above
+    the bound are dropped and flagged, as is a full basis, where the loop
+    stops: it holds ``v^b e_00``, whose 0-product with itself is ``v^2b``.
+    A dropped product can break the argument (some ``x (m+s) c`` lies above
+    the bound), so an overflowing span may miss products of two of its
+    elements; ``classify_irreducible`` then decides on ``_pair_closure``.
     """
-    n = pres.n
-    bound = pres.v_deg_bound
-    overflow = False
 
-    rows = []
-    for g in pres.generators:
-        vec = _encode(g, bound)
-        if vec is None:
-            overflow = True
-        else:
-            rows.append(vec)
-    basis = hermite_reduce(rows, (bound + 1) * n * n)
-    # each basis element under its pivot; a row left unchanged by ``extend``
-    # keeps its element, and the changed rows are the next wave
-    elements = {p: _decode(r, n) for p, r in zip(basis.pivots, basis.rows)}
+    def pairs(gens, fresh, _):
+        return [(a, b) for b in (_decode(r, pres.n) for r in fresh) for a in gens]
 
-    fixed_point = False
-    iterations = 0
-    fresh = elements
-    while iterations < pres.iter_bound:
-        iterations += 1
-        # non-members in first-seen order, keyed by their set of terms; a
-        # repeat would be reduced again
-        new_rows: dict[frozenset, list[UniPoly]] = {}
-        # Pairs with at least one factor from the last wave suffice: older
-        # pairs were already reduced against a smaller basis, and bases only
-        # grow, so their products stay inside the span.
-        pool = [(a, b) for a in fresh.values() for b in elements.values()]
-        pool += [
-            (a, b)
-            for p, a in elements.items()
-            if p not in fresh
-            for b in fresh.values()
-        ]
-        for a, b in pool:
-            products, den, over = _product_coords(a, b, bound)
-            overflow = overflow or over
-            for ints in products:
-                if not basis.member(ints):
-                    coords = {
-                        i: {d: Fraction(x, den) for d, x in p.items()}
-                        for i, p in ints.items()
-                    }
-                    key = frozenset(
-                        (i, d, x) for i, p in coords.items() for d, x in p.items()
-                    )
-                    if key not in new_rows:
-                        new_rows[key] = _vector(coords, n, bound)
-        if not new_rows:
-            fixed_point = True
-            break
-        old = dict(zip(basis.pivots, basis.rows))
-        basis = basis.extend(new_rows.values())
-        fresh = {
-            p: _decode(r, n)
-            for p, r in zip(basis.pivots, basis.rows)
-            if old.get(p) != r
-        }
-        elements = {p: fresh[p] if p in fresh else elements[p] for p in basis.pivots}
+    return _close(pres, pairs)
 
-    return ClosureResult(
-        n=n,
-        v_deg_bound=bound,
-        elements=tuple(elements.values()),
-        fixed_point=fixed_point,
-        overflow=overflow,
-        iterations=iterations,
-    )
+
+def _pair_closure(pres: SubalgebraPresentation) -> ClosureResult:
+    """The closure under the products of every two basis elements, each
+    round taking the pairs with a factor new to the basis."""
+
+    def pairs(_, fresh, basis):
+        new = {id(r) for r in fresh}
+        every = [(_decode(r, pres.n), id(r) in new) for r in basis.rows]
+        return [(a, b) for a, x in every for b, y in every if x or y]
+
+    return _close(pres, pairs)
 
 
 # --------------------------------------------------------------------------
@@ -703,7 +710,9 @@ def classify_irreducible(pres: SubalgebraPresentation) -> Classification:
     flag.  Density on ``V_N = k[p]^N`` is decided first, exactly, by
     ``orbit_density_check``; it is necessary for irreducibility, so a
     ``Reducible`` answer (whose invariant submodule the reason names) or an
-    empty generator list ends in ``Unknown``.
+    empty generator list ends in ``Unknown``.  An ``Unknown`` decided on an
+    overflowing or unfinished ``subalgebra_closure`` is decided again on
+    ``_pair_closure``, the span under products of every two basis elements.
     """
     from .operators import orbit_density_check
 
@@ -714,6 +723,18 @@ def classify_irreducible(pres: SubalgebraPresentation) -> Classification:
         return Classification(verdict="Unknown", bound=bound, reason=reason)
 
     closure = subalgebra_closure(pres)
+    found = _decide(pres, closure)
+    if found.verdict == "Unknown" and (closure.overflow or not closure.fixed_point):
+        # a dropped product can leave the generator words short of some
+        # product of two closure elements, and words need more rounds than
+        # pairs: decide again on the pair closure before answering Unknown
+        found = _decide(pres, _pair_closure(pres))
+    return found
+
+
+def _decide(pres: SubalgebraPresentation, closure: ClosureResult) -> Classification:
+    """The verdict that ``closure``, a closure of ``pres``, supports."""
+    bound = pres.v_deg_bound
     try:
         kv = kv_closure(pres, closure=closure)
     except (NotClosedError, BoundTooSmallError) as exc:

@@ -34,7 +34,7 @@ from .errors import (
     InsufficientSamplesError,
     NotDifferentialError,
 )
-from .poly import HSubmoduleBasis, PolyMatrix, UniPoly
+from .poly import HSubmoduleBasis, PolyMatrix, UniPoly, close_under
 from .weyl import WeylMatrix
 
 
@@ -280,10 +280,9 @@ def orbit_density_check(generators: Sequence[ConformalElement]) -> DensityResult
       invariant once each g(n) maps each of its basis rows b into it, and
       g(n) b = 0 for n > (top D-degree of g) + deg b.
 
-    The loop extends e_k's Hermite basis by those images of every row new to
-    it (a row that keeps its place had its images absorbed before), until
-    the basis is the identity or stops changing, as it must: k[p]^N is
-    Noetherian. Otherwise the verdict is Reducible. A nonzero M_k is a
+    ``close_under`` extends e_k's Hermite basis by those images of every row
+    new to it until the basis is the identity or stops changing, as it must:
+    k[p]^N is Noetherian. Otherwise the verdict is Reducible. A nonzero M_k is a
     proper C-invariant submodule; if M_k = 0, every operator kills k[p] e_k,
     which is proper for N >= 2, and at N = 1 the generators are zero and
     p k[p] is invariant.
@@ -296,20 +295,18 @@ def orbit_density_check(generators: Sequence[ConformalElement]) -> DensityResult
             raise DimensionMismatchError("generators of mixed size")
     tops = [(g, g.deg_d) for g in generators if not g.is_zero()]
 
+    def images(fresh, _):
+        return (
+            _symbol_on_vector(g, n, b)
+            for b in fresh
+            for g, top in tops
+            for n in range(top + max(e.degree or 0 for e in b) + 1)
+        )
+
     zero, one = UniPoly.zero("p"), UniPoly.const(1, "p")
     for k in range(size):
         unit = tuple(one if l == k else zero for l in range(size))
-        basis = HSubmoduleBasis((), (), size)
-        fresh = [unit]
-        while fresh and not basis.is_full():
-            old = dict(zip(basis.pivots, basis.rows))
-            basis = basis.extend(
-                _symbol_on_vector(g, n, b)
-                for b in fresh
-                for g, top in tops
-                for n in range(top + max(e.degree or 0 for e in b) + 1)
-            )
-            fresh = [r for p, r in zip(basis.pivots, basis.rows) if old.get(p) != r]
+        basis, _, _ = close_under(HSubmoduleBasis((), (), size), [unit], images)
         if basis.is_full():
             continue
         if basis.rank:

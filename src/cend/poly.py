@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatchError, NotUnimodularError
 
@@ -923,11 +923,28 @@ class HSubmoduleBasis:
         Each new row is reduced against the pivot rows by Euclid's
         algorithm on its leading coordinate: the quotient's multiple of the
         pivot row is subtracted, and when a remainder is left the two rows
-        trade places, the remainder's row becoming the pivot.  Then every
-        pivot is made monic and the entries above later pivots reduced.
+        trade places, the remainder's row becoming the pivot.  A row that
+        becomes a pivot is made monic and its later entries are reduced
+        modulo the pivots already there, so quotients do not compound in
+        them from row to row.  At the end the entries above later pivots
+        are reduced.
         """
         ncols = self.ncols
         pivots = {p: list(r) for p, r in zip(self.pivots, self.rows)}
+
+        def settle(r: list[UniPoly], pos: int) -> list[UniPoly]:
+            lc = r[pos].lead
+            if lc != 1:
+                inv = Fraction(1) / lc
+                r = [e * inv if e._c else e for e in r]
+            for pos2 in range(pos + 1, ncols):
+                b = pivots.get(pos2)
+                if r[pos2]._c and b is not None:
+                    f = r[pos2] // b[pos2]
+                    if f:
+                        _sub_multiple(r, f, b, pos2)
+            return r
+
         for r in rows:
             if len(r) != ncols:
                 raise DimensionMismatchError("rows of unequal length")
@@ -937,22 +954,17 @@ class HSubmoduleBasis:
                 pos = next((i for i in range(pos, ncols) if r[i]._c), None)
                 if pos is None:
                     break
-                b = pivots.setdefault(pos, r)
-                if b is r:
+                b = pivots.get(pos)
+                if b is None:
+                    pivots[pos] = settle(r, pos)
                     break
                 f, rem = divmod(r[pos], b[pos])
                 if f:
                     _sub_multiple(r, f, b, pos)
                 if rem:
-                    pivots[pos], r = r, b
+                    pivots[pos], r = settle(r, pos), b
 
         order = sorted(pivots)
-        for pos in order:
-            row = pivots[pos]
-            lc = row[pos].lead
-            if lc != 1:
-                inv = Fraction(1) / lc
-                pivots[pos] = [e * inv if e._c else e for e in row]
         # reduce entries above later pivots; later rows are already canonical
         for idx in range(len(order) - 1, -1, -1):
             pos = order[idx]
@@ -982,6 +994,28 @@ class HSubmoduleBasis:
             ", ".join(str(e) for e in r) for r in self.rows
         )
         return f"HSubmoduleBasis(rank={self.rank}, ncols={self.ncols}, [{rows}])"
+
+
+def close_under(
+    basis: HSubmoduleBasis, seeds: Iterable, images: Callable, rounds: int | None = None
+) -> tuple[HSubmoduleBasis, int, bool]:
+    """Extend ``basis`` by the images of ``seeds``, then of each row new to it.
+
+    ``images(fresh, basis)`` gives the images of the rows ``fresh`` under a
+    finite operator set (members of ``basis`` may be left out); a row that
+    keeps its place had its images absorbed before.  Stops when no row
+    changes, at a full basis or after ``rounds`` rounds (``None``: no cap).
+    Returns ``(basis, rounds run, whether it stopped before the cap)``.
+    """
+    fresh, done = list(seeds), 0
+    while fresh and not basis.is_full():
+        if done == rounds:
+            return basis, done, False
+        done += 1
+        old = dict(zip(basis.pivots, basis.rows))
+        basis = basis.extend(images(fresh, basis))
+        fresh = [r for p, r in zip(basis.pivots, basis.rows) if old.get(p) != r]
+    return basis, done, True
 
 
 def hermite_reduce(

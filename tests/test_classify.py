@@ -3,7 +3,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from test_poly import adjugate
 
@@ -40,6 +40,7 @@ from cend.poly import (
     hermite_reduce,
     smith_normal_form,
 )
+from cend.serialize import classification_to_json
 from cend.verify import verify_suite
 from cend.weyl import WeylElement, WeylMatrix, q_valuation
 
@@ -569,6 +570,77 @@ class TestCanonicalizeQ:
         assert entry["examples"][0] == "size 1: sampled transport failed"
 
 
+def pair_closure_reference(pres):
+    """The closure sweeping every ordered pair of basis elements in each
+    round (rank^2 sweeps at the fixed point), as ``subalgebra_closure`` did
+    before it swept only the generators' basis against the new rows.
+    Returns a ``ClosureResult``; its ``iterations`` count rounds of pairs."""
+    c = cend.classify
+    n, bound = pres.n, pres.v_deg_bound
+    overflow = False
+    rows = []
+    for g in pres.generators:
+        vec = c._encode(g, bound)
+        if vec is None:
+            overflow = True
+        else:
+            rows.append(vec)
+    basis = hermite_reduce(rows, (bound + 1) * n * n)
+    elements = {p: c._decode(r, n) for p, r in zip(basis.pivots, basis.rows)}
+    fixed_point = False
+    iterations = 0
+    fresh = elements
+    while iterations < pres.iter_bound:
+        iterations += 1
+        new_rows = {}
+        # pairs with a factor from the last wave; older pairs were reduced
+        # against a smaller basis, and bases only grow
+        pool = [(a, b) for a in fresh.values() for b in elements.values()]
+        pool += [
+            (a, b) for p, a in elements.items() if p not in fresh for b in fresh.values()
+        ]
+        for a, b in pool:
+            products, den, over = c._product_coords(a, b, bound)
+            overflow = overflow or over
+            for ints in products:
+                if not basis.member(ints):
+                    coords = {
+                        i: {d: Fraction(x, den) for d, x in p.items()}
+                        for i, p in ints.items()
+                    }
+                    key = frozenset(
+                        (i, d, x) for i, p in coords.items() for d, x in p.items()
+                    )
+                    new_rows.setdefault(key, c._vector(coords, n, bound))
+        if not new_rows:
+            fixed_point = True
+            break
+        old = dict(zip(basis.pivots, basis.rows))
+        basis = basis.extend(new_rows.values())
+        fresh = {
+            p: c._decode(r, n)
+            for p, r in zip(basis.pivots, basis.rows)
+            if old.get(p) != r
+        }
+        elements = {p: fresh[p] if p in fresh else elements[p] for p in basis.pivots}
+    return c.ClosureResult(
+        n, bound, tuple(elements.values()), fixed_point, overflow, iterations
+    )
+
+
+def rational_growth_draw():
+    """A random N = 2 draw at v-bound 1.  Sweeping its raw generators as
+    left factors sends 44 unreduced rows into one ``extend``, whose rational
+    coefficients grow; their Hermite basis sends 23."""
+    zero = 0 * ONE
+    gens = (
+        ConformalElement([[-D, D], [-D - ONE, 3 * ONE]]),
+        ConformalElement([[-2 * D - 3 * V, -2 * V + 3 * ONE], [-(D * V), zero]]),
+        ConformalElement([[-3 * D * D + 2 * ONE, zero], [-2 * D + 2 * ONE, -(D * D) - ONE]]),
+    )
+    return SubalgebraPresentation(gens, 1)
+
+
 class TestSubalgebraClosure:
     def test_units_close_up(self):
         # three units generate the missing fourth
@@ -628,6 +700,80 @@ class TestSubalgebraClosure:
         got = subalgebra_closure(pres)
         assert got.elements == ()
         assert got.fixed_point and not got.overflow
+
+
+
+class TestGeneratorDrivenClosure:
+    """The closure sweeps the generators' Hermite basis against the new rows
+    only; ``pair_closure_reference`` sweeps every pair of basis elements."""
+
+    @given(
+        st.integers(1, 2).flatmap(
+            lambda n: st.lists(
+                elements(n, max_dd=2, max_dv=1, max_terms=2), min_size=1, max_size=3
+            )
+        ),
+        st.integers(1, 3),
+    )
+    # overflowing at v-bound 1: the pair closure also holds e00 = e01 (1) v e10
+    # and e10, which no word of products inside the bound reaches, so the
+    # generator closure alone reads Unknown where the pair closure reads
+    # LeftIdeal
+    @example([unit(2, 1, 0, V), unit(2, 0, 1, D), unit(2, 0, 1) + unit(2, 1, 1, D * V + ONE)], 1)
+    @settings(max_examples=40, deadline=None)
+    def test_agrees_with_the_pair_closure(self, gens, bound):
+        """Equal closures without overflow, and equal classifications with
+        it.  ``_pair_closure``, which classification falls back on, is the
+        reference's span."""
+        pres = SubalgebraPresentation(tuple(gens), bound)
+        got, ref = subalgebra_closure(pres), pair_closure_reference(pres)
+        pairs = cend.classify._pair_closure(pres)
+        assert (pairs.elements, pairs.fixed_point) == (ref.elements, ref.fixed_point)
+        if not (got.overflow or ref.overflow):
+            assert got.elements == ref.elements
+            return
+        verdict = classification_to_json(classify_irreducible(pres))
+        with mock.patch.object(cend.classify, "subalgebra_closure", pair_closure_reference):
+            want = classification_to_json(classify_irreducible(pres))
+        assert verdict == want
+
+    def test_an_unfinished_closure_is_classified_on_the_pair_closure(self):
+        """Words of four generator letters do not reach the fixed point here,
+        while four rounds of pairs do; the verdict is the pair closure's."""
+        g = ConformalElement([[0 * ONE, -3 * D * D - 3 * D], [-3 * ONE, 2 * V]])
+        pres = SubalgebraPresentation((g,), 3, iter_bound=4)
+        assert not subalgebra_closure(pres).fixed_point
+        assert pair_closure_reference(pres).fixed_point
+        got = classify_irreducible(pres)
+        assert got.verdict == "LeftIdeal"
+        assert got.ideal_q == PolyMatrix.diag([one_v, one_v], "v")
+
+    @pytest.mark.parametrize("n, bound", [(2, 1), (2, 3), (3, 2), (4, 5)])
+    def test_slice_rank_meets_the_formula(self, n, bound):
+        """The slice's Q has deg det Q = 1, so the rank is N^2 (b + 1) - N."""
+        got = subalgebra_closure(matrix_slice(n, bound))
+        assert got.fixed_point
+        assert len(got.elements) == n * n * (bound + 1) - n
+        assert got.elements == pair_closure_reference(matrix_slice(n, bound)).elements
+
+    def test_left_factors_are_the_generators_basis(self, monkeypatch):
+        pres = rational_growth_draw()
+        c = cend.classify
+        rows = [c._encode(g, pres.v_deg_bound) for g in pres.generators]
+        start = [c._decode(r, pres.n) for r in hermite_reduce(rows).rows]
+        assert not any(g in start for g in pres.generators)
+        lefts = []
+        product_coords = c._product_coords
+
+        def spy(a, b, bound):
+            lefts.append(a)
+            return product_coords(a, b, bound)
+
+        monkeypatch.setattr(c, "_product_coords", spy)
+        got = subalgebra_closure(pres)
+        monkeypatch.undo()
+        assert lefts and all(a in start for a in lefts)
+        assert got.elements == pair_closure_reference(pres).elements
 
 
 @st.composite

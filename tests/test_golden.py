@@ -39,7 +39,8 @@ MATRIX_SLICE = (
     '],"vDegBound":3,"iterBound":8}'
 ) % (_V_MINUS_D, _V_MINUS_D)
 
-# The same slice at v-bound 5: four rounds, and some products overflow.
+# The same slice at v-bound 5: six rounds (words of up to six generators),
+# and some products overflow.
 MATRIX_SLICE_B5 = MATRIX_SLICE.replace('"vDegBound":3', '"vDegBound":5')
 
 # The 2x2 matrix units under the transvection (0, [[1, v], [0, 1]]), the
