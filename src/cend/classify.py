@@ -12,10 +12,11 @@ translation generator.  On top of them this module builds:
 * a canonical form for the matrix that cuts out a left ideal,
 * closure of a finitely generated subalgebra under all n-products
   (as a finitely encoded fixed-point computation): the generators' basis
-  multiplies each new basis row on the left, each product's integer
+  multiplies each new basis row on the left, and each product's integer
   numerators, read from the n-product sweep, are tested for membership in
-  the current ``k[D]``-span by pseudo-division on integers, and only
-  non-members become ``Fraction`` rows that extend the Hermite basis,
+  the current ``k[D]``-span; non-members extend the Hermite basis as they
+  are, since it keeps integer rows and reduces them by the same integer
+  pseudo-division,
 * the induced ``k[v]``-span of a closed subalgebra together with a
   directness analysis, and
 * the classification routine that decides whether a densely acting
@@ -52,6 +53,8 @@ from .poly import (
     HSubmoduleBasis,
     PolyMatrix,
     UniPoly,
+    _lead,
+    _primitive,
     close_under,
     hermite_reduce,
     rat,
@@ -326,29 +329,21 @@ class ClosureResult:
     iterations: int
 
 
-_ZERO_D = UniPoly.zero("D")
-
-
-def _encode(a: ConformalElement, v_bound: int) -> list[UniPoly] | None:
+def _encode(a: ConformalElement, v_bound: int) -> dict[int, dict[int, int]] | None:
     """Coordinates of ``a`` over ``k[D]``, indexed by (v-degree, row, col).
 
-    Returns None when the element exceeds the v-degree bound.
+    Returns the sparse integer row ``{index: {D-degree: numerator}}`` of the
+    element's term form, over its common denominator, or None when the
+    element exceeds the v-degree bound.
     """
+    terms, _, _, _, deg_v = a._term_form()
+    if deg_v is not None and deg_v > v_bound:
+        return None
     n = a.n
-    coords: dict[int, dict[int, Fraction]] = {}
-    for (r, c, d, e), x in a._c.items():
-        if e > v_bound:
-            return None
+    coords: dict[int, dict[int, int]] = {}
+    for r, c, d, e, x in terms:
         coords.setdefault((e * n + r) * n + c, {})[d] = x
-    return _vector(coords, n, v_bound)
-
-
-def _vector(coords: dict, n: int, v_bound: int) -> list[UniPoly]:
-    """The coordinate vector with ``{index: {D-degree: coefficient}}`` filled in."""
-    vec = [_ZERO_D] * ((v_bound + 1) * n * n)  # UniPoly values are never mutated
-    for idx, by_d in coords.items():
-        vec[idx] = UniPoly._new(by_d, "D")
-    return vec
+    return coords
 
 
 def _product_coords(
@@ -380,14 +375,15 @@ def _product_coords(
     return coords, den, overflow
 
 
-def _decode(vec: list[UniPoly], n: int) -> ConformalElement:
+def _decode(row: dict[int, dict[int, int]], n: int) -> ConformalElement:
+    """The element of a basis row in the integer form, divided by its lead."""
+    lead = _lead(row)
     c: dict = {}
-    for idx, f in enumerate(vec):
-        if f._c:
-            e, rest = divmod(idx, n * n)
-            r, col = divmod(rest, n)
-            for d, a in f._c.items():
-                c[r, col, d, e] = a
+    for idx, p in sorted(row.items()):
+        e, rest = divmod(idx, n * n)
+        r, col = divmod(rest, n)
+        for d, x in p.items():
+            c[r, col, d, e] = Fraction(x, lead)
     return ConformalElement._new(c, n)
 
 
@@ -398,34 +394,29 @@ def _close(pres: SubalgebraPresentation, pairs) -> ClosureResult:
     rows = [_encode(g, bound) for g in pres.generators]
     overflow = None in rows
     basis = hermite_reduce([r for r in rows if r is not None], (bound + 1) * n * n)
-    gens = [_decode(r, n) for r in basis.rows]
+    gens = [_decode(r, n) for r in basis.int_rows.values()]
 
     def images(fresh, basis):
         nonlocal overflow
-        # non-members keyed by their set of terms; a repeat would be
+        # non-members keyed by their primitive form; a repeat would be
         # reduced again
-        new_rows: dict[frozenset, list[UniPoly]] = {}
+        new_rows: dict[frozenset, dict] = {}
         for a, b in pairs(gens, fresh, basis):
-            products, den, over = _product_coords(a, b, bound)
+            products, _, over = _product_coords(a, b, bound)
             overflow = overflow or over
             for ints in products:
-                if basis.member(ints):
-                    continue
-                coords = {
-                    i: {d: Fraction(x, den) for d, x in p.items()}
-                    for i, p in ints.items()
-                }
-                key = frozenset(
-                    (i, d, x) for i, p in coords.items() for d, x in p.items()
-                )
-                if key not in new_rows:
-                    new_rows[key] = _vector(coords, n, bound)
+                if not basis.member(ints):
+                    prim = _primitive(ints).items()
+                    key = frozenset((i, d, x) for i, p in prim for d, x in p.items())
+                    new_rows.setdefault(key, ints)
         # fewest terms first: short rows settle the pivots, and the long ones
         # then reduce against them instead of compounding quotients
-        return sorted(new_rows.values(), key=lambda r: sum(len(e._c) for e in r))
+        return sorted(new_rows.values(), key=lambda r: sum(map(len, r.values())))
 
-    basis, rounds, fixed = close_under(basis, basis.rows, images, pres.iter_bound)
-    elements = tuple(_decode(r, n) for r in basis.rows)
+    basis, rounds, fixed = close_under(
+        basis, basis.int_rows.values(), images, pres.iter_bound
+    )
+    elements = tuple(_decode(r, n) for r in basis.int_rows.values())
     # an empty presentation has N = 0, and the empty basis of k[D]^0 is full
     overflow = overflow or n > 0 and basis.is_full()
     return ClosureResult(n, bound, elements, fixed, overflow, rounds)
@@ -462,7 +453,7 @@ def _pair_closure(pres: SubalgebraPresentation) -> ClosureResult:
 
     def pairs(_, fresh, basis):
         new = {id(r) for r in fresh}
-        every = [(_decode(r, pres.n), id(r) in new) for r in basis.rows]
+        every = [(_decode(r, pres.n), id(r) in new) for r in basis.int_rows.values()]
         return [(a, b) for a, x in every for b, y in every if x or y]
 
     return _close(pres, pairs)
@@ -546,14 +537,12 @@ def kv_closure(
     ambient = 2 * bound
     ncols = (ambient + 1) * n * n
 
-    # The layer v^t * C encodes to C's rows at the v-bound shifted by
-    # t * N^2 coordinates and padded to the ambient width, so every layer
-    # has the rank of C.
+    # The layer v^t * C encodes to C's rows at the v-bound with every
+    # coordinate shifted by t * N^2, so every layer has the rank of C.
     rows = [_encode(c, bound) for c in closure.elements]
 
     def layer(t):
-        pad, rest = [_ZERO_D] * (t * n * n), [_ZERO_D] * ((bound - t) * n * n)
-        return [pad + r + rest for r in rows]
+        return [{i + t * n * n: p for i, p in r.items()} for r in rows]
 
     # Directness of the sum C + vC + v^2 C + ...: the sum of submodules of a
     # free k[D]-module is direct exactly when the ranks add, and each layer
@@ -665,7 +654,7 @@ def _conjugation_witness(
         return None, missing
     for col in range(n):
         columns: list[list[UniPoly]] = []
-        span = HSubmoduleBasis((), (), n)
+        span = HSubmoduleBasis(n, "v")
         for mat in s0:
             vec = [mat.entry(i, col) for i in range(n)]
             if all(f.is_zero() for f in vec):

@@ -52,10 +52,6 @@ class DifferentialSequence:
         if self.coeffs and self.coeffs[-1].is_zero():
             raise ValueError("trailing zero coefficient")
 
-    @property
-    def top_index(self) -> int:
-        return len(self.coeffs) - 1
-
     def operator(self, n: int) -> WeylMatrix:
         """The member a(n) = sum_s C(n,s) A_s(p) q^(n-s) of the family."""
         out: dict = {}
@@ -296,23 +292,24 @@ def orbit_density_check(generators: Sequence[ConformalElement]) -> DensityResult
     tops = [(g, g.deg_d) for g in generators if not g.is_zero()]
 
     def images(fresh, _):
+        # _symbol_on_vector reads a row's entries as polynomials
+        vecs = ([UniPoly._new(r.get(i, {}), "p") for i in range(size)] for r in fresh)
         return (
             _symbol_on_vector(g, n, b)
-            for b in fresh
+            for b in vecs
             for g, top in tops
             for n in range(top + max(e.degree or 0 for e in b) + 1)
         )
 
-    zero, one = UniPoly.zero("p"), UniPoly.const(1, "p")
     for k in range(size):
-        unit = tuple(one if l == k else zero for l in range(size))
-        basis, _, _ = close_under(HSubmoduleBasis((), (), size), [unit], images)
+        unit = {k: {0: 1}}
+        basis, _, _ = close_under(HSubmoduleBasis(size, "p"), [unit], images)
         if basis.is_full():
             continue
         if basis.rank:
             rows, lead = basis.rows, f"the orbit of basis vector {k} spans"
         else:
-            rows = (unit,) if size > 1 else ((UniPoly.gen("p"),),)
+            rows = HSubmoduleBasis(size, "p", [unit if size > 1 else {0: {1: 1}}]).rows
             lead = f"every operator kills basis vector {k}, so there is"
         text = "; ".join("(" + ", ".join(map(str, r)) + ")" for r in rows)
         reason = f"{lead} a proper invariant submodule with basis {text}"

@@ -9,9 +9,10 @@ entries' monomials.  ``PolyMatrix`` is a dense matrix over k[x].  The two
 matrix normal forms everything else is built on are the Smith form with
 unimodular witnesses over k[x], which also inverts unimodular matrices, and
 a reduced echelon (Hermite) basis for finitely generated submodules of
-k[D]^L.  A basis grows by ``extend``: each new row is reduced against the
-pivot rows by Euclid's algorithm on its leading coordinate, with no Bezout
-cofactors.
+k[D]^L, kept as primitive integer rows.  One integer pseudo-division does
+every reduction of those rows: membership, and ``extend``, which grows a
+basis by Euclid's algorithm on each new row's leading coordinate, with no
+Bezout cofactors.
 
 All values are immutable after construction; every operation returns a new
 object. Zero coefficients are never stored, so structural equality is
@@ -799,13 +800,63 @@ def smith_normal_form(
     return PolyMatrix._new(t), PolyMatrix._new(s), PolyMatrix._new(u)
 
 
-def _sub_multiple(
-    r: list[UniPoly], f: UniPoly, b: Sequence[UniPoly], start: int
-) -> None:
-    """r -= f * b in place, over the nonzero entries of b from ``start`` on."""
-    for i in range(start, len(b)):
-        if b[i]._c:
-            r[i] = r[i] - f * b[i]
+def _lead(row: dict) -> int:
+    """The leading numerator of a sparse row's lowest coordinate."""
+    p = row[min(row)]
+    return p[max(p)]
+
+
+def _primitive(row: dict) -> dict:
+    """A nonzero sparse integer row ``{coordinate: {degree: numerator}}``
+    divided by the gcd of its numerators, with a positive ``_lead``: rows
+    that differ by a nonzero rational factor have one primitive form."""
+    g = gcd(*(x for p in row.values() for x in p.values()))
+    if _lead(row) < 0:
+        g = -g
+    return {i: {d: x // g for d, x in p.items()} for i, p in row.items()}
+
+
+def _copy(row: dict) -> dict:
+    return {i: dict(p) for i, p in row.items()}
+
+
+def _pseudo_reduce(work: dict, pos: int, row: dict) -> None:
+    """Reduce coordinate ``pos`` of ``work`` by the pivot row ``row``, in place.
+
+    Both are sparse integer rows; ``row`` starts at ``pos`` with a positive
+    leading numerator L.  While the degree of ``work`` at ``pos`` is at
+    least the pivot's, all of ``work`` is scaled by ``L / gcd(L, c)`` (``c``
+    its leading numerator there) and the matching multiple of
+    ``D^shift * row`` subtracted.  Over Q that is division by the monic
+    pivot, up to a positive factor on ``work``.
+    """
+    pivot = row[pos]
+    deg = max(pivot)
+    lead = pivot[deg]
+    w = work.get(pos)
+    while w:
+        top = max(w)
+        if top < deg:
+            return
+        c = w[top]
+        g = gcd(lead, c)
+        scale, f = lead // g, c // g
+        if scale != 1:
+            for p in work.values():
+                for d in p:
+                    p[d] *= scale
+        shift = top - deg
+        for i, ent in row.items():  # work -= f * D^shift * row
+            p = work.setdefault(i, {})
+            for d, x in ent.items():
+                k = d + shift
+                y = p.get(k, 0) - f * x
+                if y:
+                    p[k] = y
+                else:
+                    del p[k]
+            if not p:
+                del work[i]
 
 
 class HSubmoduleBasis:
@@ -814,67 +865,60 @@ class HSubmoduleBasis:
     Rows are in echelon form: pivot coordinates strictly increase, pivot
     entries are monic, and entries above each pivot are reduced modulo it.
     The form is unique, so equality of bases is equality of submodules.
+
+    ``int_rows`` maps each pivot to its row, in pivot order, stored once as
+    sparse integer numerators ``{coordinate: {D-degree: numerator}}``:
+    primitive, with the pivot's leading numerator L positive.  Stored rows
+    are never mutated.  ``rows`` is the view over Q, each row divided by its
+    L into ``UniPoly`` entries tagged ``var``.  ``_pseudo_reduce`` does
+    every reduction.
     """
 
-    __slots__ = ("ncols", "rows", "pivots", "_int_rows")
+    __slots__ = ("ncols", "var", "int_rows", "pivots", "_rows")
 
-    def __init__(
-        self,
-        rows: Sequence[Sequence[UniPoly]],
-        pivots: Sequence[int],
-        ncols: int,
-    ):
-        self.rows = tuple(tuple(r) for r in rows)
-        self.pivots = tuple(pivots)
-        self.ncols = ncols
-        self._int_rows: dict | None = None
+    def __init__(self, ncols: int, var: str, int_rows: Iterable[dict] = ()):
+        self.ncols, self.var = ncols, var
+        self.int_rows = {min(r): r for r in int_rows}
+        self.pivots = tuple(self.int_rows)
+        self._rows: tuple | None = None
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.int_rows)
+
+    @property
+    def rows(self) -> tuple[tuple[UniPoly, ...], ...]:
+        """The rows over Q, built on first read."""
+        if self._rows is None:
+            zero, var = UniPoly.zero(self.var), self.var
+            out = []
+            for row in self.int_rows.values():
+                lead = _lead(row)
+                vec = [zero] * self.ncols
+                for i, p in row.items():
+                    c = {d: Fraction(x, lead) for d, x in p.items()}
+                    vec[i] = UniPoly._new(c, var)
+                out.append(tuple(vec))
+            self._rows = tuple(out)
+        return self._rows
 
     def is_full(self) -> bool:
         """Whether the span is all of k[D]^L: every pivot is a constant."""
-        pairs = zip(self.pivots, self.rows)
-        return self.rank == self.ncols and all(not r[p].degree for p, r in pairs)
+        return self.rank == self.ncols and all(
+            max(r[p]) == 0 for p, r in self.int_rows.items()
+        )
 
-    def _integer_rows(self) -> dict:
-        """``{pivot: (L, pivot degree, [(coordinate, {D-degree: numerator})])}``.
-
-        Each row is held as integer numerators over the lcm of its
-        denominators, from its pivot on; ``L`` is the pivot's leading
-        numerator.  Built on first use.
-        """
-        if self._int_rows is None:
-            view = {}
-            for row, pos in zip(self.rows, self.pivots):
-                tail = row[pos:]
-                den = lcm(*(c.denominator for e in tail for c in e._c.values()))
-                entries = [
-                    (i, {d: int(x * den) for d, x in e._c.items()})
-                    for i, e in enumerate(tail, pos)
-                    if e._c
-                ]
-                deg = row[pos].degree
-                view[pos] = (entries[0][1][deg], deg, entries)
-            self._int_rows = view
-        return self._int_rows
-
-    def member(self, vec: Mapping[int, Mapping[int, int]]) -> bool:
-        """Does vec lie in the row span over k[D]?
-
-        ``vec`` is sparse and integral: ``{coordinate: {D-degree:
-        numerator}}``, the numerators over any one common denominator
-        (which membership does not depend on), absent or zero entries
-        meaning 0.  The test runs on integers by pseudo-division: at the
-        lowest nonzero coordinate, which must be a pivot, the work vector
-        is scaled by ``L / gcd(L, c)`` (``c`` its leading numerator there)
-        and the matching multiple of the row subtracted until the degree
-        drops below the pivot's.  Scaling by a nonzero integer keeps the
-        answer, and every pivot is monic over Q, so a nonzero
-        pseudo-remainder or a coordinate left without a pivot means "not a
-        member", exactly as division over Q would.
-        """
+    def _work(self, vec) -> dict:
+        """A fresh sparse integer copy of ``vec``, in either form ``member``
+        takes."""
+        if not isinstance(vec, Mapping):
+            if len(vec) != self.ncols:
+                raise DimensionMismatchError("rows of unequal length")
+            den = lcm(*(x.denominator for e in vec for x in e._c.values()))
+            vec = {
+                i: {d: x.numerator * (den // x.denominator) for d, x in e._c.items()}
+                for i, e in enumerate(vec)
+            }
         work = {}
         for i, p in vec.items():
             p = {d: x for d, x in p.items() if x}
@@ -885,114 +929,85 @@ class HSubmoduleBasis:
                 f"coordinates {min(work)}..{max(work)} outside a basis of "
                 f"{self.ncols}"
             )
-        rows = self._integer_rows()
+        return work
+
+    def member(self, vec) -> bool:
+        """Does vec lie in the row span over k[D]?
+
+        ``vec`` is a sparse integer row ``{coordinate: {D-degree:
+        numerator}}``, over any one common denominator (which membership
+        does not depend on), or a sequence of ``ncols`` ``UniPoly`` entries.
+        It is pseudo-divided by the pivot row at its lowest coordinate until
+        nothing is left.  The pivots are monic over Q, so a nonzero
+        pseudo-remainder or a coordinate without a pivot means "not a
+        member", exactly as division over Q would.
+        """
+        work, rows = self._work(vec), self.int_rows
         while work:
             pos = min(work)
             if pos not in rows:
                 return False
-            lead, deg, entries = rows[pos]
-            w = work[pos]
-            while w:
-                top = max(w)
-                if top < deg:
-                    return False
-                c = w[top]
-                g = gcd(lead, c)
-                scale, f = lead // g, c // g
-                if scale != 1:
-                    for p in work.values():
-                        for d in p:
-                            p[d] *= scale
-                shift = top - deg
-                for i, ent in entries:  # work -= f * D^shift * row
-                    p = work.setdefault(i, {})
-                    for d, x in ent.items():
-                        k = d + shift
-                        y = p.get(k, 0) - f * x
-                        if y:
-                            p[k] = y
-                        else:
-                            del p[k]
-                    if not p:
-                        del work[i]
+            _pseudo_reduce(work, pos, rows[pos])
+            if pos in work:
+                return False
         return True
 
-    def extend(self, rows: Iterable[Sequence[UniPoly]]) -> "HSubmoduleBasis":
-        """The canonical basis of this span plus ``rows``.
+    def extend(self, rows: Iterable) -> "HSubmoduleBasis":
+        """The canonical basis of this span plus ``rows``, given in either
+        form that ``member`` takes.
 
-        Each new row is reduced against the pivot rows by Euclid's
-        algorithm on its leading coordinate: the quotient's multiple of the
-        pivot row is subtracted, and when a remainder is left the two rows
-        trade places, the remainder's row becoming the pivot.  A row that
-        becomes a pivot is made monic and its later entries are reduced
-        modulo the pivots already there, so quotients do not compound in
-        them from row to row.  At the end the entries above later pivots
-        are reduced.
+        Each new row is reduced by Euclid's algorithm on its leading
+        coordinate: it is pseudo-divided by the pivot row there, and a
+        nonzero remainder trades places with the pivot row, which goes on
+        being reduced.  A row that becomes a pivot has its later entries
+        reduced by the pivots already there, so quotients do not compound in
+        them from row to row, and is made primitive.  At the end the entries
+        above later pivots are reduced.
         """
-        ncols = self.ncols
-        pivots = {p: list(r) for p, r in zip(self.pivots, self.rows)}
+        pivots = dict(self.int_rows)
 
-        def settle(r: list[UniPoly], pos: int) -> list[UniPoly]:
-            lc = r[pos].lead
-            if lc != 1:
-                inv = Fraction(1) / lc
-                r = [e * inv if e._c else e for e in r]
-            for pos2 in range(pos + 1, ncols):
-                b = pivots.get(pos2)
-                if r[pos2]._c and b is not None:
-                    f = r[pos2] // b[pos2]
-                    if f:
-                        _sub_multiple(r, f, b, pos2)
-            return r
+        def settle(r: dict, pos: int) -> dict:
+            for pos2 in sorted(p for p in pivots if p > pos):
+                if pos2 in r:
+                    _pseudo_reduce(r, pos2, pivots[pos2])
+            return _primitive(r)
 
         for r in rows:
-            if len(r) != ncols:
-                raise DimensionMismatchError("rows of unequal length")
-            r = list(r)
-            pos = 0
-            while True:
-                pos = next((i for i in range(pos, ncols) if r[i]._c), None)
-                if pos is None:
-                    break
+            r = self._work(r)
+            while r:
+                pos = min(r)
                 b = pivots.get(pos)
                 if b is None:
                     pivots[pos] = settle(r, pos)
                     break
-                f, rem = divmod(r[pos], b[pos])
-                if f:
-                    _sub_multiple(r, f, b, pos)
-                if rem:
-                    pivots[pos], r = settle(r, pos), b
+                _pseudo_reduce(r, pos, b)
+                if pos in r:
+                    pivots[pos], r = settle(r, pos), _copy(b)
 
         order = sorted(pivots)
         # reduce entries above later pivots; later rows are already canonical
-        for idx in range(len(order) - 1, -1, -1):
-            pos = order[idx]
-            row = pivots[pos]
-            for pos2 in order[idx + 1 :]:
-                e = row[pos2]
-                if e:
-                    f = e // pivots[pos2][pos2]
-                    if f:
-                        _sub_multiple(row, f, pivots[pos2], pos2)
-        return HSubmoduleBasis([pivots[p] for p in order], order, ncols)
+        for idx in range(len(order) - 2, -1, -1):
+            row, later = pivots[order[idx]], order[idx + 1 :]
+            if any(p in row and max(row[p]) >= max(pivots[p][p]) for p in later):
+                row = _copy(row)
+                for pos2 in later:
+                    if pos2 in row:
+                        _pseudo_reduce(row, pos2, pivots[pos2])
+                pivots[order[idx]] = _primitive(row)
+        return HSubmoduleBasis(self.ncols, self.var, (pivots[p] for p in order))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HSubmoduleBasis):
             return NotImplemented
-        return (
-            self.ncols == other.ncols
-            and self.pivots == other.pivots
-            and self.rows == other.rows
+        return (self.ncols, self.var, self.int_rows) == (
+            other.ncols, other.var, other.int_rows
         )
 
     def __hash__(self) -> int:
-        return hash((self.ncols, self.pivots, self.rows))
+        return hash((self.ncols, self.var, self.pivots))
 
     def __repr__(self) -> str:
-        rows = "; ".join(
-            ", ".join(str(e) for e in r) for r in self.rows
-        )
+        rows = "; ".join(", ".join(str(e) for e in r) for r in self.rows)
         return f"HSubmoduleBasis(rank={self.rank}, ncols={self.ncols}, [{rows}])"
 
 
@@ -1001,30 +1016,29 @@ def close_under(
 ) -> tuple[HSubmoduleBasis, int, bool]:
     """Extend ``basis`` by the images of ``seeds``, then of each row new to it.
 
-    ``images(fresh, basis)`` gives the images of the rows ``fresh`` under a
-    finite operator set (members of ``basis`` may be left out); a row that
-    keeps its place had its images absorbed before.  Stops when no row
-    changes, at a full basis or after ``rounds`` rounds (``None``: no cap).
-    Returns ``(basis, rounds run, whether it stopped before the cap)``.
+    ``images(fresh, basis)`` gives the images of the rows ``fresh`` (the
+    seeds, then rows of ``int_rows``) under a finite operator set (members
+    of ``basis`` may be left out); a row that keeps its place had its images
+    absorbed before.  Stops when no row changes, at a full basis or after
+    ``rounds`` rounds (``None``: no cap).  Returns ``(basis, rounds run,
+    whether it stopped before the cap)``.
     """
     fresh, done = list(seeds), 0
     while fresh and not basis.is_full():
         if done == rounds:
             return basis, done, False
         done += 1
-        old = dict(zip(basis.pivots, basis.rows))
+        old = basis.int_rows
         basis = basis.extend(images(fresh, basis))
-        fresh = [r for p, r in zip(basis.pivots, basis.rows) if old.get(p) != r]
+        fresh = [r for p, r in basis.int_rows.items() if old.get(p) != r]
     return basis, done, True
 
 
-def hermite_reduce(
-    rows: Iterable[Sequence[UniPoly]], ncols: int | None = None
-) -> HSubmoduleBasis:
-    """Echelonize generators of a submodule of k[D]^L into canonical form."""
-    if ncols is None:
-        rows = list(rows)
-        if not rows:
-            raise ValueError("cannot infer coordinate count from no rows")
-        ncols = len(rows[0])
-    return HSubmoduleBasis((), (), ncols).extend(rows)
+def hermite_reduce(rows: list, ncols: int) -> HSubmoduleBasis:
+    """Echelonize generators of a submodule of k[D]^L into canonical form.
+
+    The rows take either form that ``HSubmoduleBasis.member`` takes; the
+    first ``UniPoly`` entry gives the basis its variable tag, "D" if none.
+    """
+    var = next((e.var for r in rows if not isinstance(r, Mapping) for e in r), "D")
+    return HSubmoduleBasis(ncols, var).extend(rows)

@@ -28,10 +28,8 @@ __all__ = [
 ]
 
 
-def rand_fraction(rng: Random, span: int = 3, max_den: int = 1) -> Fraction:
-    num = rng.randint(-span, span)
-    den = rng.randint(1, max_den) if max_den > 1 else 1
-    return Fraction(num, den)
+def rand_fraction(rng: Random, span: int = 3) -> Fraction:
+    return Fraction(rng.randint(-span, span))
 
 
 def rand_unipoly(

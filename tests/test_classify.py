@@ -586,7 +586,7 @@ def pair_closure_reference(pres):
         else:
             rows.append(vec)
     basis = hermite_reduce(rows, (bound + 1) * n * n)
-    elements = {p: c._decode(r, n) for p, r in zip(basis.pivots, basis.rows)}
+    elements = {p: c._decode(r, n) for p, r in basis.int_rows.items()}
     fixed_point = False
     iterations = 0
     fresh = elements
@@ -604,23 +604,19 @@ def pair_closure_reference(pres):
             overflow = overflow or over
             for ints in products:
                 if not basis.member(ints):
-                    coords = {
-                        i: {d: Fraction(x, den) for d, x in p.items()}
-                        for i, p in ints.items()
-                    }
                     key = frozenset(
-                        (i, d, x) for i, p in coords.items() for d, x in p.items()
+                        (i, d, Fraction(x, den))
+                        for i, p in ints.items()
+                        for d, x in p.items()
                     )
-                    new_rows.setdefault(key, c._vector(coords, n, bound))
+                    new_rows.setdefault(key, ints)
         if not new_rows:
             fixed_point = True
             break
-        old = dict(zip(basis.pivots, basis.rows))
+        old = basis.int_rows
         basis = basis.extend(new_rows.values())
         fresh = {
-            p: c._decode(r, n)
-            for p, r in zip(basis.pivots, basis.rows)
-            if old.get(p) != r
+            p: c._decode(r, n) for p, r in basis.int_rows.items() if old.get(p) != r
         }
         elements = {p: fresh[p] if p in fresh else elements[p] for p in basis.pivots}
     return c.ClosureResult(
@@ -727,6 +723,10 @@ class TestGeneratorDrivenClosure:
         reference's span."""
         pres = SubalgebraPresentation(tuple(gens), bound)
         got, ref = subalgebra_closure(pres), pair_closure_reference(pres)
+        for x in got.elements:  # canonical basis rows: each pivot entry is monic
+            row, den = cend.classify._encode(x, bound), x._term_form()[2]
+            top = row[min(row)]
+            assert top[max(top)] == den
         pairs = cend.classify._pair_closure(pres)
         assert (pairs.elements, pairs.fixed_point) == (ref.elements, ref.fixed_point)
         if not (got.overflow or ref.overflow):
@@ -756,11 +756,31 @@ class TestGeneratorDrivenClosure:
         assert len(got.elements) == n * n * (bound + 1) - n
         assert got.elements == pair_closure_reference(matrix_slice(n, bound)).elements
 
+    @pytest.mark.parametrize(
+        "entries, rank",
+        [
+            (
+                [[-3 * D * V - V, 2 * D * V - 2 * D], [3 * D * D * V, -2 * D * V + ONE]],
+                16,
+            ),
+            ([[3 * D * D * V - 3 * V, -(D * V)], [-(D * D), 2 * D * V - 3 * V]], 14),
+        ],
+    )
+    def test_single_generators_whose_rows_grew(self, entries, rank):
+        """Single generators whose closure at v-bound 3 once took seconds in
+        ``extend``, while the rational coefficients of unreduced rows grew."""
+        pres = SubalgebraPresentation((ConformalElement(entries),), 3)
+        got = subalgebra_closure(pres)
+        assert len(got.elements) == rank
+        assert got.elements == pair_closure_reference(pres).elements
+
     def test_left_factors_are_the_generators_basis(self, monkeypatch):
         pres = rational_growth_draw()
         c = cend.classify
         rows = [c._encode(g, pres.v_deg_bound) for g in pres.generators]
-        start = [c._decode(r, pres.n) for r in hermite_reduce(rows).rows]
+        ncols = (pres.v_deg_bound + 1) * pres.n**2
+        basis = hermite_reduce(rows, ncols)
+        start = [c._decode(r, pres.n) for r in basis.int_rows.values()]
         assert not any(g in start for g in pres.generators)
         lefts = []
         product_coords = c._product_coords
@@ -804,14 +824,17 @@ class TestProductVectors:
     n-product sweep and tests them for membership on integers."""
 
     @staticmethod
-    def fractions(coords, den, n, bound):
-        rows = []
-        for ints in coords:
-            over_den = {
-                i: {d: Fraction(x, den) for d, x in p.items()} for i, p in ints.items()
-            }
-            rows.append(cend.classify._vector(over_den, n, bound))
-        return rows
+    def fractions(coords, den):
+        """Rows in the sparse integer form over ``den``, as rationals."""
+        return [
+            {i: {d: Fraction(x, den) for d, x in p.items()} for i, p in ints.items()}
+            for ints in coords
+        ]
+
+    def encoded(self, x, bound):
+        """``_encode(x, bound)`` as rationals, or None above the bound."""
+        row = cend.classify._encode(x, bound)
+        return None if row is None else self.fractions([row], x._term_form()[2])[0]
 
     @given(rational_pairs(), st.integers(0, 4))
     @settings(max_examples=80, deadline=None)
@@ -821,8 +844,8 @@ class TestProductVectors:
         coords, den, overflow = cend.classify._product_coords(a, b, bound)
         for ints in coords:
             assert all(type(x) is int and x for p in ints.values() for x in p.values())
-        encoded = [cend.classify._encode(x, bound) for x in products]
-        assert self.fractions(coords, den, a.n, bound) == [e for e in encoded if e is not None]
+        encoded = [self.encoded(x, bound) for x in products]
+        assert self.fractions(coords, den) == [e for e in encoded if e is not None]
         assert overflow == any(x.deg_v > bound for x in products)
 
     def test_over_bound_products_set_overflow(self):
@@ -830,7 +853,7 @@ class TestProductVectors:
         v1 = ConformalElement([[V]])
         coords, den, overflow = cend.classify._product_coords(v1, v1, 1)
         assert overflow
-        assert self.fractions(coords, den, 1, 1) == [cend.classify._encode(v1, 1)]
+        assert self.fractions(coords, den) == [self.encoded(v1, 1)]
 
     def test_zero_products_are_skipped(self):
         got = cend.classify._product_coords(unit(2, 0, 1), unit(2, 0, 1), 2)
@@ -853,7 +876,16 @@ class TestProductVectors:
         subalgebra_closure(SubalgebraPresentation(tuple(gens), 3, 8))
         assert seen
         for rows in seen:
-            assert len({tuple(r) for r in rows}) == len(rows)
+            # whole rows, each divided by its leading coefficient: rows that
+            # differ by a factor are one non-member
+            forms = []
+            for r in rows:
+                top = r[min(r)]
+                lead = Fraction(top[max(top)])
+                forms.append(
+                    {i: {d: x / lead for d, x in p.items()} for i, p in r.items()}
+                )
+            assert all(f not in forms[:k] for k, f in enumerate(forms))
 
     def test_closure_bookkeeping_is_linear_in_the_rank(self, monkeypatch):
         # the closure finds last round's elements by pivot, not by comparing

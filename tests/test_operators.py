@@ -152,7 +152,7 @@ class TestSequences:
     def test_element_sequence_signs(self):
         a = ce1(D * V)  # C_1 = v, so A_1 = -v
         seq = element_sequence(a)
-        assert seq.top_index == 1
+        assert len(seq.coeffs) - 1 == 1
         assert seq.coeffs[0].is_zero()
         assert seq.coeffs[1] == PolyMatrix([[-UniPoly.gen("p")]], "p")
 
@@ -165,7 +165,7 @@ class TestSequences:
     @settings(max_examples=40, deadline=None)
     def test_fit_from_symbols(self, a):
         seq = element_sequence(a)
-        top = seq.top_index
+        top = len(seq.coeffs) - 1
         samples = [
             OperatorSample(n, symbol(a, n)) for n in range(top + 2)
         ]

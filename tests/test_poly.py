@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -10,7 +11,6 @@ from cend.conformal import ConformalElement, nproduct, nproducts, phi, phi_inv, 
 from cend.errors import DimensionMismatchError, NotUnimodularError
 from cend.poly import (
     BiPoly,
-    HSubmoduleBasis,
     PolyMatrix,
     UniPoly,
     hermite_reduce,
@@ -447,7 +447,8 @@ D1 = UniPoly.const(1, "D")
 def bezout_hermite_reduce(rows, ncols):
     """The canonical Hermite basis, with two rows that share a pivot
     coordinate merged by the Bezout cofactors of their leading entries:
-    a reference for ``hermite_reduce`` and ``HSubmoduleBasis.extend``."""
+    a reference for ``hermite_reduce`` and ``HSubmoduleBasis.extend``.
+    Returns the basis's ``(pivots, rows)``."""
 
     def sub_multiple(r, f, b, start):
         for i in range(start, ncols):
@@ -484,7 +485,7 @@ def bezout_hermite_reduce(rows, ncols):
         row = pivots[order[idx]]
         for pos2 in order[idx + 1 :]:
             sub_multiple(row, row[pos2] // pivots[pos2][pos2], pivots[pos2], pos2)
-    return HSubmoduleBasis([pivots[p] for p in order], order, ncols)
+    return tuple(order), tuple(tuple(pivots[p]) for p in order)
 
 
 def ints(vec, scale=1):
@@ -501,13 +502,13 @@ def ints(vec, scale=1):
 class TestHermite:
     def test_gcd_combine(self):
         # rows (D^2, D) and (D, 1) span the same module as (D, 1)
-        basis = hermite_reduce([[D * D, D], [D, D1]])
+        basis = hermite_reduce([[D * D, D], [D, D1]], 2)
         assert basis.rank == 1
         assert basis.rows == ((D, D1),)
         assert basis.pivots == (0,)
 
     def test_membership(self):
-        basis = hermite_reduce([[D, DZ], [DZ, D1]])
+        basis = hermite_reduce([[D, DZ], [DZ, D1]], 2)
         assert basis.member(ints([D * D, UniPoly.const(5, "D")]))
         assert not basis.member(ints([D1, DZ]))
         assert basis.member({})
@@ -517,26 +518,26 @@ class TestHermite:
         # 2D^2 + D is no multiple of the pivot's numerators 6D + 3, but 3
         # times it is
         half = UniPoly({0: Fraction(1, 2), 1: 1}, "D")
-        basis = hermite_reduce([[half, UniPoly.const(Fraction(1, 3), "D")], [DZ, D]])
+        basis = hermite_reduce([[half, UniPoly.const(Fraction(1, 3), "D")], [DZ, D]], 2)
         assert basis.member({0: {2: 2, 1: 1}})
         assert not basis.member({0: {2: 2, 1: 1}, 1: {0: 1}})
         assert not basis.member({0: {1: 2}})
 
     def test_member_rejects_outside_coordinates(self):
-        basis = hermite_reduce([[D, DZ], [DZ, D1]])
+        basis = hermite_reduce([[D, DZ], [DZ, D1]], 2)
         for vec in ({2: {0: 1}}, {-1: {0: 1}}):
             with pytest.raises(DimensionMismatchError):
                 basis.member(vec)
 
     def test_reduction_above_pivot(self):
         # second pivot D^2 should reduce the first row's tail below degree 2
-        basis = hermite_reduce([[D1, D * D * D], [DZ, D * D]])
+        basis = hermite_reduce([[D1, D * D * D], [DZ, D * D]], 2)
         assert basis.pivots == (0, 1)
         tail = basis.rows[0][1]
         assert tail.degree is None or tail.degree < 2
 
     def test_monic_pivots(self):
-        basis = hermite_reduce([[2 * D, DZ]])
+        basis = hermite_reduce([[2 * D, DZ]], 2)
         assert basis.rows[0][0] == D
 
     def test_zero_rows_dropped(self):
@@ -694,11 +695,37 @@ class TestExtend:
             rows.insert(data.draw(st.integers(0, len(rows))), extra)
         expected = bezout_hermite_reduce(rows, ncols)
 
-        assert hermite_reduce(rows, ncols) == expected
+        got = hermite_reduce(rows, ncols)
+        assert (got.pivots, got.rows) == expected
         cut = data.draw(st.integers(0, len(rows)))
-        assert hermite_reduce(rows[:cut], ncols).extend(rows[cut:]) == expected
-        assert expected.extend([]) == expected
-        assert expected.extend(expected.rows) == expected
+        first = hermite_reduce(rows[:cut], ncols)
+        kept = copy.deepcopy(first.int_rows)
+        assert first.extend(rows[cut:]) == got
+        assert first.int_rows == kept  # bases share rows, and extend mutates none
+        assert got.extend([]) == got
+        assert got.extend(got.rows) == got
+
+    @given(st.integers(1, 8), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_scaled_rows_give_the_same_basis(self, ncols, data):
+        """Rows scaled by nonzero rationals, whose content then cancels in
+        the integer form, span the same module: the basis and the member
+        answers do not change."""
+        rows = data.draw(sparse_rows(ncols))
+        nonzero = QCOEFF.filter(bool)
+        factors = data.draw(st.lists(nonzero, min_size=len(rows), max_size=len(rows)))
+        scaled = [[e * f for e in r] for r, f in zip(rows, factors)]
+        basis = hermite_reduce(rows, ncols)
+        assert hermite_reduce(scaled, ncols) == basis
+        assert basis.extend(scaled) == basis
+        probes = data.draw(sparse_rows(ncols)) + [
+            [a + b for a, b in zip(r, s)] for r, s in zip(rows, scaled)
+        ]
+        for vec in probes:
+            f = data.draw(nonzero)
+            answer = hermite_reduce(rows + [vec], ncols) == basis
+            assert basis.member(ints(vec)) == answer
+            assert hermite_reduce(scaled, ncols).member([e * f for e in vec]) == answer
 
     def test_row_of_wrong_length_is_rejected(self):
         with pytest.raises(DimensionMismatchError):
